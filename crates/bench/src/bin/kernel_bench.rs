@@ -3,13 +3,17 @@
 //! Times the naive reference loops against the register-blocked/packed
 //! matmul and the im2col conv1d lowering at the shapes the system actually
 //! runs hot: the GIN comparator MLP (dim 128) and ST-block channel/temporal
-//! mixing at paper-scale hidden widths. Also times one full training run
-//! both ways and reports ns per optimizer step plus the buffer-pool hit
-//! rate. Results land in `BENCH_kernels.json`.
+//! mixing at paper-scale hidden widths. At the search and pre-training
+//! workloads' own small shapes it times the channel-vectorised conv1d
+//! (forward and backward) against the direct loops, and the stride-walking
+//! `Tensor::permuted` against the per-element odometer it replaced. Also
+//! times one full training run both ways and reports ns per optimizer step
+//! plus the buffer-pool hit rate. Results, with the host's cores, rayon
+//! threads, dispatched ISA tier and rustc, land in `BENCH_kernels.json`.
 //!
-//! Exits nonzero if any fast kernel is slower than its naive reference
-//! (the CI smoke gate), or — in full mode — if matmul speedup at the
-//! GIN/ST-block shapes falls below the 3x acceptance floor.
+//! Exits nonzero if any fast kernel is slower than its reference (the CI
+//! smoke gate), or — in full mode — if matmul speedup at the GIN/ST-block
+//! shapes falls below the 3x acceptance floor.
 //!
 //! ```sh
 //! cargo run --release --bin kernel_bench            # full, 3x gate
@@ -19,7 +23,7 @@
 use octs_data::{Adjacency, DatasetProfile, Domain, ForecastSetting, ForecastTask};
 use octs_model::{train_forecaster, Forecaster, FrozenForecaster, ModelDims, TrainConfig};
 use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
-use octs_tensor::ops::{conv, matmul};
+use octs_tensor::ops::{conv, matmul, shapeops};
 use octs_tensor::{Precision, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,6 +46,7 @@ struct MatmulRow {
 #[derive(Serialize)]
 struct ConvRow {
     name: String,
+    pass: &'static str,
     batch: usize,
     c_in: usize,
     c_out: usize,
@@ -52,6 +57,16 @@ struct ConvRow {
     fast_ns: f64,
     naive_gflops: f64,
     fast_gflops: f64,
+    speedup: f64,
+}
+
+#[derive(Serialize)]
+struct PermuteRow {
+    name: String,
+    shape: Vec<usize>,
+    axes: Vec<usize>,
+    odometer_ns: f64,
+    stride_walk_ns: f64,
     speedup: f64,
 }
 
@@ -77,16 +92,30 @@ struct InferRow {
 }
 
 #[derive(Serialize)]
+struct Host {
+    cores: usize,
+    rayon_threads: usize,
+    isa_tier: &'static str,
+    rustc: String,
+}
+
+#[derive(Serialize)]
 struct Report {
     quick: bool,
+    host: Host,
     matmul: Vec<MatmulRow>,
     conv: Vec<ConvRow>,
+    permute: Vec<PermuteRow>,
     train_step: TrainRow,
     infer: Vec<InferRow>,
     min_matmul_speedup: f64,
     min_frozen_speedup: f64,
     note: String,
 }
+
+/// A conv1d row: name, whether to time the backward pass too, then batch,
+/// C_in, C_out, L, K and dilation.
+type ConvCase = (&'static str, bool, usize, usize, usize, usize, usize, usize);
 
 /// ns per call, best of three measurement windows (this guards the CI gate
 /// against scheduler noise on shared cores): one warm-up, then each window
@@ -111,6 +140,15 @@ fn bench_ns<F: FnMut()>(target: Duration, mut f: F) -> f64 {
 
 fn filled(n: usize, scale: f32) -> Vec<f32> {
     (0..n).map(|i| ((i * 2_654_435_761 % 1000) as f32 / 1000.0 - 0.5) * scale).collect()
+}
+
+fn rustc_version() -> String {
+    std::process::Command::new(std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into()))
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string())
 }
 
 fn main() {
@@ -164,73 +202,126 @@ fn main() {
         matmul_rows.push(row);
     }
 
-    // --- 2. Conv1d at ST-block temporal-conv shapes -----------------------
-    let conv_shapes: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
-        ("tcn_d1", 4, 32, 64, 12, 2, 1),
-        ("tcn_d2", 4, 64, 64, 12, 2, 2),
-        ("tcn_long", 8, 32, 32, 48, 3, 2),
+    // --- 2. Conv1d: ST-block temporal convs (im2col) and the workloads'
+    // gdcc shape (B·N=20, C=16, L=4, K=2; the channel-vectorised small path).
+    let conv_shapes: &[ConvCase] = &[
+        ("tcn_d1", false, 4, 32, 64, 12, 2, 1),
+        ("tcn_d2", false, 4, 64, 64, 12, 2, 2),
+        ("tcn_long", false, 8, 32, 32, 48, 3, 2),
+        ("gdcc_d1", true, 20, 16, 16, 4, 2, 1),
+        ("gdcc_d2", true, 20, 16, 16, 4, 2, 2),
     ];
     let mut conv_rows = Vec::new();
-    for &(name, batch, c_in, c_out, l, ksize, dilation) in conv_shapes {
+    for &(name, with_backward, batch, c_in, c_out, l, ksize, dilation) in conv_shapes {
         let x = filled(batch * c_in * l, 1.0);
         let w = filled(c_out * c_in * ksize, 1.0);
         let bias = filled(c_out, 0.5);
+        let dout = filled(batch * c_out * l, 1.0);
         let mut out = vec![0.0f32; batch * c_out * l];
+        let (mut dx, mut dw, mut db) = (vec![0.0; x.len()], vec![0.0; w.len()], vec![0.0; c_out]);
         let flops = 2.0 * (batch * c_out * c_in * ksize * l) as f64;
+        let naive_vs_fast = |run: &mut dyn FnMut()| {
+            matmul::set_fast_enabled(false);
+            let naive_ns = bench_ns(target, &mut *run);
+            matmul::set_fast_enabled(true);
+            (naive_ns, bench_ns(target, run))
+        };
 
-        matmul::set_fast_enabled(false);
-        let naive_ns = bench_ns(target, || {
-            out.fill(0.0);
-            conv::conv1d_forward(
-                &x,
-                &w,
-                Some(&bias),
-                &mut out,
+        let mut timings = vec![(
+            "fwd",
+            flops,
+            naive_vs_fast(&mut || {
+                out.fill(0.0);
+                conv::conv1d_forward(
+                    &x,
+                    &w,
+                    Some(&bias),
+                    &mut out,
+                    batch,
+                    c_in,
+                    c_out,
+                    l,
+                    ksize,
+                    dilation,
+                );
+            }),
+        )];
+        if with_backward {
+            // dx and dw each cost one forward's multiply-adds.
+            let ns = naive_vs_fast(&mut || {
+                dx.fill(0.0);
+                dw.fill(0.0);
+                db.fill(0.0);
+                conv::conv1d_backward(
+                    &x,
+                    &w,
+                    &dout,
+                    &mut dx,
+                    &mut dw,
+                    Some(&mut db),
+                    batch,
+                    c_in,
+                    c_out,
+                    l,
+                    ksize,
+                    dilation,
+                );
+            });
+            timings.push(("bwd", 2.0 * flops, ns));
+        }
+        for (pass, flops, (naive_ns, fast_ns)) in timings {
+            let row = ConvRow {
+                name: name.to_string(),
+                pass,
                 batch,
                 c_in,
                 c_out,
                 l,
                 ksize,
                 dilation,
+                naive_ns,
+                fast_ns,
+                naive_gflops: flops / naive_ns,
+                fast_gflops: flops / fast_ns,
+                speedup: naive_ns / fast_ns,
+            };
+            eprintln!(
+                "[conv1d] {:<9} {pass} b{batch} {c_in}->{c_out} l{l} k{ksize} d{dilation}  \
+                 naive {:>6.2} GF/s  fast {:>6.2} GF/s  {:>5.2}x",
+                row.name, row.naive_gflops, row.fast_gflops, row.speedup
             );
-        });
-        matmul::set_fast_enabled(true);
-        let fast_ns = bench_ns(target, || {
-            out.fill(0.0);
-            conv::conv1d_forward(
-                &x,
-                &w,
-                Some(&bias),
-                &mut out,
-                batch,
-                c_in,
-                c_out,
-                l,
-                ksize,
-                dilation,
-            );
-        });
+            conv_rows.push(row);
+        }
+    }
 
-        let row = ConvRow {
+    // --- 2b. Permute at the ST-block layouts ([B, H, N, L] = [4, 16, 5, 4])
+    let permute_cases: &[(&str, &[usize], &[usize])] = &[
+        ("temporal_0213", &[4, 16, 5, 4], &[0, 2, 1, 3]),
+        ("spatial_0321", &[4, 16, 5, 4], &[0, 3, 2, 1]),
+    ];
+    let mut permute_rows = Vec::new();
+    for &(name, shape, axes) in permute_cases {
+        let t = Tensor::new(shape.to_vec(), filled(shape.iter().product(), 1.0));
+        let odometer_ns = bench_ns(target, || {
+            std::hint::black_box(shapeops::permute_odometer(&t, axes));
+        });
+        let stride_walk_ns = bench_ns(target, || {
+            std::hint::black_box(t.permuted(axes));
+        });
+        let row = PermuteRow {
             name: name.to_string(),
-            batch,
-            c_in,
-            c_out,
-            l,
-            ksize,
-            dilation,
-            naive_ns,
-            fast_ns,
-            naive_gflops: flops / naive_ns,
-            fast_gflops: flops / fast_ns,
-            speedup: naive_ns / fast_ns,
+            shape: shape.to_vec(),
+            axes: axes.to_vec(),
+            odometer_ns,
+            stride_walk_ns,
+            speedup: odometer_ns / stride_walk_ns,
         };
         eprintln!(
-            "[conv1d] {:<16} b{batch} {c_in}->{c_out} l{l} k{ksize} d{dilation}  \
-             naive {:>6.2} GF/s  fast {:>6.2} GF/s  {:>5.2}x",
-            row.name, row.naive_gflops, row.fast_gflops, row.speedup
+            "[permute] {:<14} {shape:?} by {axes:?}  odometer {:>7.0} ns  stride walk {:>7.0} ns  \
+             {:>5.2}x",
+            row.name, row.odometer_ns, row.stride_walk_ns, row.speedup
         );
-        conv_rows.push(row);
+        permute_rows.push(row);
     }
 
     // --- 3. One full training run, naive vs fast --------------------------
@@ -333,16 +424,27 @@ fn main() {
     let min_matmul_speedup = matmul_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let min_frozen_speedup =
         infer_rows.iter().map(|r| r.frozen_speedup).fold(f64::INFINITY, f64::min);
+    let host = Host {
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rayon_threads: rayon::current_num_threads(),
+        isa_tier: matmul::isa_tier(),
+        rustc: rustc_version(),
+    };
     let report = Report {
         quick,
+        host,
         matmul: matmul_rows,
         conv: conv_rows,
+        permute: permute_rows,
         train_step,
         infer: infer_rows,
         min_matmul_speedup,
         min_frozen_speedup,
         note: "naive = retained reference loops (ops::matmul::naive, ops::conv::direct); \
-               fast = register-blocked packed matmul + im2col conv1d; train row is one \
+               fast = register-blocked packed matmul, im2col conv1d (tcn rows) or the \
+               channel-vectorised small conv1d (gdcc rows, bit-identical to direct); \
+               permute rows time Tensor::permuted against the per-element odometer it \
+               replaced; train row is one \
                full train_forecaster run divided by optimizer steps; infer rows time one \
                predict on a 3-block h=8/i=16 forecaster — tape engine vs compiled frozen \
                plans at each precision tier"
@@ -356,7 +458,21 @@ fn main() {
         assert!(r.speedup >= 1.0, "fast matmul slower than naive at {}: {:.2}x", r.name, r.speedup);
     }
     for r in &report.conv {
-        assert!(r.speedup >= 1.0, "fast conv1d slower than naive at {}: {:.2}x", r.name, r.speedup);
+        assert!(
+            r.speedup >= 1.0,
+            "fast conv1d {} slower than naive at {}: {:.2}x",
+            r.pass,
+            r.name,
+            r.speedup
+        );
+    }
+    for r in &report.permute {
+        assert!(
+            r.speedup >= 1.0,
+            "stride-walking permute slower than the odometer at {}: {:.2}x",
+            r.name,
+            r.speedup
+        );
     }
     for r in &report.infer {
         assert!(

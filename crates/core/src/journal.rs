@@ -160,6 +160,13 @@ mod tests {
         std::env::temp_dir().join(format!("octs_journal_{name}_{}", std::process::id()))
     }
 
+    /// Holds the process-wide fault scope with an empty plan: fault plans
+    /// are global, so without it a concurrently running fault test's
+    /// scheduled `journal.append` error can fire in this test's journal.
+    fn no_faults() -> octs_fault::FaultScope {
+        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
+    }
+
     fn label(unit: u64, score: f32) -> Record {
         Record {
             kind: "label".into(),
@@ -173,6 +180,7 @@ mod tests {
 
     #[test]
     fn append_and_replay() {
+        let _faults = no_faults();
         let p = tmp("replay");
         std::fs::remove_file(&p).ok();
         {
@@ -191,6 +199,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncated() {
+        let _faults = no_faults();
         let p = tmp("torn");
         std::fs::remove_file(&p).ok();
         {
@@ -214,6 +223,7 @@ mod tests {
 
     #[test]
     fn interior_corruption_is_an_error() {
+        let _faults = no_faults();
         let p = tmp("interior");
         std::fs::remove_file(&p).ok();
         {

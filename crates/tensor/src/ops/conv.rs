@@ -15,16 +15,25 @@
 //! scratch comes from the thread-local [`crate::pool`] and is reused across
 //! the batch, so steady-state conv calls allocate nothing.
 //!
-//! Small shapes keep the original direct loops (retained in [`direct`]),
-//! where the unroll-and-multiply detour costs more than it saves.
+//! ## Small shapes
+//! Below [`DIRECT_MAX_WORK`] the unroll-and-multiply detour costs more than
+//! it saves, and a channel-vectorised kernel ([`small`]) runs instead. It
+//! reorders the original direct loops ([`direct`], now the reference) so the
+//! innermost loop runs across a channel axis rather than over at most `L`
+//! time steps, yet keeps every output element's operand pairs and reduction
+//! order — so it is bit-identical to [`direct`], not merely close.
+
+use std::cell::RefCell;
 
 /// Work bound (`C_out · C_in · K · L` multiply-adds per batch element) below
-/// which the direct nested loops beat the im2col + packed-matmul detour.
+/// which the small-shape kernels beat the im2col + packed-matmul detour.
 const DIRECT_MAX_WORK: usize = 4096;
 
-/// Reference direct kernels: the original nested loops. Every weight tap is
-/// applied (no zero-weight skip), matching IEEE product semantics over the
-/// valid (unpadded) input range.
+/// Reference direct kernels: the original nested loops, kept as the
+/// differential-testing reference for [`small`] and the path taken when the
+/// fast kernels are switched off. Every weight tap is applied (no
+/// zero-weight skip), matching IEEE product semantics over the valid
+/// (unpadded) input range.
 pub mod direct {
     /// Forward causal dilated conv1d. `out` must be zero-filled by the caller.
     #[allow(clippy::too_many_arguments)]
@@ -115,6 +124,261 @@ pub mod direct {
     }
 }
 
+thread_local! {
+    /// Transpose scratch for [`small`]. It lives outside [`crate::pool`] so
+    /// the pool's hit/miss counters (pinned by the golden-run fixtures) see
+    /// the same takes as with the direct loops.
+    static SMALL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends this thread's small-kernel scratch, split into buffers of the given
+/// lengths. Contents are stale; callers overwrite before reading.
+fn with_scratch<const N: usize, R>(lens: [usize; N], f: impl FnOnce([&mut [f32]; N]) -> R) -> R {
+    SMALL_SCRATCH.with_borrow_mut(|buf| {
+        let total = lens.iter().sum();
+        if buf.len() < total {
+            buf.resize(total, 0.0);
+        }
+        let mut rest = &mut buf[..total];
+        f(lens.map(|n| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            head
+        }))
+    })
+}
+
+/// Transposes a row-major `rows × cols` `src` into `dst` laid out as
+/// `cols × padded` (`dst[c · padded + r] = src[r · cols + c]`), zero-filling
+/// the padding lanes `rows..padded` so every whole-lane load is in bounds.
+fn transpose_padded(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, padded: usize) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), cols * padded);
+    for (c, dst_row) in dst.chunks_exact_mut(padded).enumerate() {
+        for (r, d) in dst_row[..rows].iter_mut().enumerate() {
+            *d = src[r * cols + c];
+        }
+        dst_row[rows..].fill(0.0);
+    }
+}
+
+/// Channel-vectorised small-shape kernels, bit-identical to [`direct`].
+/// Every dimension must be non-zero (empty shapes take [`direct`]).
+///
+/// [`direct`] reduces each output element over its taps in a fixed order.
+/// These kernels form the same `(operand, operand)` products and add them in
+/// the same order per element, but hold a block of `W` channels (8, or 16
+/// above 8 channels) of one time step in a register accumulator and run the
+/// innermost loop across those channels, reading weights (and, for `dw`,
+/// inputs) from transposed copies padded to whole blocks. Rust never
+/// contracts `a * b + c` into an FMA, so equal operand pairs and equal
+/// reduction order give equal bits.
+pub mod small {
+    use super::{transpose_padded, with_scratch};
+
+    /// The `W`-wide block of `row` starting at `start`.
+    #[inline(always)]
+    fn lanes<const W: usize>(row: &[f32], start: usize) -> &[f32; W] {
+        row[start..start + W].try_into().expect("padded to whole blocks")
+    }
+
+    /// Forward causal dilated conv1d; accumulates into `out` like
+    /// [`super::direct::conv1d_forward`], bias last.
+    ///
+    /// For each output step `t` and block of output channels, the
+    /// accumulator starts from `out`, adds `w[co, ci, k] · x[ci, t - shift]`
+    /// over `(ci, k)` in order, and is written back with the bias added.
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv1d_forward(
+        x: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        b: usize,
+        c_in: usize,
+        c_out: usize,
+        l: usize,
+        ksize: usize,
+        dilation: usize,
+    ) {
+        let f = if c_out <= 8 { forward::<8> } else { forward::<16> };
+        f(x, w, bias, out, b, c_in, c_out, l, ksize, dilation);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn forward<const W: usize>(
+        x: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        b: usize,
+        c_in: usize,
+        c_out: usize,
+        l: usize,
+        ksize: usize,
+        dilation: usize,
+    ) {
+        let reach = (ksize - 1) * dilation;
+        let ck = c_in * ksize;
+        let cop = c_out.next_multiple_of(W);
+        with_scratch([ck * cop], |[wt]| {
+            // wt[(ci·K + k) · cop + co] = w[co, ci, k]
+            transpose_padded(w, wt, c_out, ck, cop);
+            for bi in 0..b {
+                let x_b = &x[bi * c_in * l..(bi + 1) * c_in * l];
+                let out_b = &mut out[bi * c_out * l..(bi + 1) * c_out * l];
+                for t in 0..l {
+                    // Taps with shift = reach - k·dilation <= t reach x[.., t - shift].
+                    let k_first = (0..ksize).find(|k| reach - k * dilation <= t).unwrap_or(ksize);
+                    for cb in (0..c_out).step_by(W) {
+                        let width = W.min(c_out - cb);
+                        let mut acc = [0.0f32; W];
+                        for (j, a) in acc[..width].iter_mut().enumerate() {
+                            *a = out_b[(cb + j) * l + t];
+                        }
+                        for ci in 0..c_in {
+                            for k in k_first..ksize {
+                                let xv = x_b[ci * l + t + k * dilation - reach];
+                                let w_lane = lanes::<W>(wt, (ci * ksize + k) * cop + cb);
+                                for (a, &wk) in acc.iter_mut().zip(w_lane) {
+                                    *a += wk * xv;
+                                }
+                            }
+                        }
+                        for (j, &a) in acc[..width].iter().enumerate() {
+                            out_b[(cb + j) * l + t] = match bias {
+                                Some(bias) => a + bias[cb + j],
+                                None => a,
+                            };
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Backward pass of [`conv1d_forward`]; accumulates into `dx`, `dw` and
+    /// (optionally) `dbias` like [`super::direct::conv1d_backward`].
+    ///
+    /// Both gradients run across blocks of input channels. `dx[ci, u]`
+    /// starts from `dx` and adds `dout[co, u + shift] · w[co, ci, k]` over
+    /// `(co, k)` in order, against a `[C_out·K, C_in]` weight copy. `dw`
+    /// sums `dout[co, t] · x[ci, t - shift]` over `t` from zero per batch
+    /// element, against a `[L, C_in]` transpose of `x`, and adds each batch
+    /// element's sum in batch order into a `[C_out·K, C_in]` copy of `dw`
+    /// that is transposed back at the end.
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv1d_backward(
+        x: &[f32],
+        w: &[f32],
+        dout: &[f32],
+        dx: &mut [f32],
+        dw: &mut [f32],
+        dbias: Option<&mut [f32]>,
+        b: usize,
+        c_in: usize,
+        c_out: usize,
+        l: usize,
+        ksize: usize,
+        dilation: usize,
+    ) {
+        let f = if c_in <= 8 { backward::<8> } else { backward::<16> };
+        f(x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn backward<const W: usize>(
+        x: &[f32],
+        w: &[f32],
+        dout: &[f32],
+        dx: &mut [f32],
+        dw: &mut [f32],
+        mut dbias: Option<&mut [f32]>,
+        b: usize,
+        c_in: usize,
+        c_out: usize,
+        l: usize,
+        ksize: usize,
+        dilation: usize,
+    ) {
+        let reach = (ksize - 1) * dilation;
+        let cip = c_in.next_multiple_of(W);
+        let wlen = c_out * ksize * cip;
+        with_scratch([wlen, wlen, l * cip], |[wt, dwt, xt]| {
+            // wt[(co·K + k) · cip + ci] = w[co, ci, k], and dwt likewise for dw.
+            for (src, dst) in [(w, &mut *wt), (&*dw, &mut *dwt)] {
+                for (s_co, d_co) in
+                    src.chunks_exact(c_in * ksize).zip(dst.chunks_exact_mut(ksize * cip))
+                {
+                    transpose_padded(s_co, d_co, c_in, ksize, cip);
+                }
+            }
+            for bi in 0..b {
+                let g_b = &dout[bi * c_out * l..(bi + 1) * c_out * l];
+                if let Some(dbias) = dbias.as_deref_mut() {
+                    for (db, g_row) in dbias.iter_mut().zip(g_b.chunks_exact(l)) {
+                        *db += g_row.iter().sum::<f32>();
+                    }
+                }
+                // xt[t · cip + ci] = x[ci, t]
+                transpose_padded(&x[bi * c_in * l..(bi + 1) * c_in * l], xt, c_in, l, cip);
+                let dx_b = &mut dx[bi * c_in * l..(bi + 1) * c_in * l];
+                for u in 0..l {
+                    // Taps whose output step u + shift lands inside the sequence.
+                    let k_first =
+                        (0..ksize).find(|k| u + reach - k * dilation < l).unwrap_or(ksize);
+                    for cb in (0..c_in).step_by(W) {
+                        let width = W.min(c_in - cb);
+                        let mut acc = [0.0f32; W];
+                        for (j, a) in acc[..width].iter_mut().enumerate() {
+                            *a = dx_b[(cb + j) * l + u];
+                        }
+                        for co in 0..c_out {
+                            for k in k_first..ksize {
+                                let g = g_b[co * l + u + reach - k * dilation];
+                                let w_lane = lanes::<W>(wt, (co * ksize + k) * cip + cb);
+                                for (a, &wv) in acc.iter_mut().zip(w_lane) {
+                                    *a += g * wv;
+                                }
+                            }
+                        }
+                        for (j, &a) in acc[..width].iter().enumerate() {
+                            dx_b[(cb + j) * l + u] = a;
+                        }
+                    }
+                }
+                for (co, g_row) in g_b.chunks_exact(l).enumerate() {
+                    for k in 0..ksize {
+                        let shift = reach - k * dilation;
+                        let dwt_row = &mut dwt[(co * ksize + k) * cip..(co * ksize + k + 1) * cip];
+                        for (cb, dw_lane) in dwt_row.chunks_exact_mut(W).enumerate() {
+                            let mut sum = [0.0f32; W];
+                            for (t, &g) in g_row.iter().enumerate().skip(shift) {
+                                let x_lane = lanes::<W>(xt, (t - shift) * cip + cb * W);
+                                for (s, &xv) in sum.iter_mut().zip(x_lane) {
+                                    *s += g * xv;
+                                }
+                            }
+                            for (d, s) in dw_lane.iter_mut().zip(sum) {
+                                *d += s;
+                            }
+                        }
+                    }
+                }
+            }
+            for (dw_co, dwt_co) in
+                dw.chunks_exact_mut(c_in * ksize).zip(dwt.chunks_exact(ksize * cip))
+            {
+                for (ci, dw_ci) in dw_co.chunks_exact_mut(ksize).enumerate() {
+                    for (k, d) in dw_ci.iter_mut().enumerate() {
+                        *d = dwt_co[k * cip + ci];
+                    }
+                }
+            }
+        });
+    }
+}
+
 /// Unrolls one batch element (`[C_in, L]`, row-major) into the causal column
 /// matrix: `cols[(ci·K + k) · L + t] = x[ci, t - shift_k]` with zero padding
 /// left of the sequence start (`shift_k = (K-1-k) · dilation`).
@@ -156,8 +420,24 @@ fn col2im(dcols: &[f32], dx: &mut [f32], c_in: usize, l: usize, ksize: usize, di
     }
 }
 
-fn use_direct(c_in: usize, c_out: usize, l: usize, ksize: usize) -> bool {
-    c_out * c_in * ksize * l < DIRECT_MAX_WORK || !crate::ops::matmul::fast_enabled()
+/// The kernel family that runs one conv1d call.
+enum Path {
+    Direct,
+    Small,
+    Im2col,
+}
+
+/// Picks the kernels for a shape. Empty shapes and the fast-kernels-off
+/// switch take the reference loops.
+fn path(c_in: usize, c_out: usize, l: usize, ksize: usize) -> Path {
+    let work = c_out * c_in * ksize * l;
+    if work == 0 || !crate::ops::matmul::fast_enabled() {
+        Path::Direct
+    } else if work >= DIRECT_MAX_WORK {
+        Path::Im2col
+    } else {
+        Path::Small
+    }
 }
 
 /// Forward causal dilated conv1d. `out` must be zero-filled by the caller.
@@ -177,9 +457,14 @@ pub fn conv1d_forward(
     debug_assert_eq!(x.len(), b * c_in * l);
     debug_assert_eq!(w.len(), c_out * c_in * ksize);
     debug_assert_eq!(out.len(), b * c_out * l);
-    if use_direct(c_in, c_out, l, ksize) {
-        direct::conv1d_forward(x, w, bias, out, b, c_in, c_out, l, ksize, dilation);
-        return;
+    match path(c_in, c_out, l, ksize) {
+        Path::Direct => {
+            return direct::conv1d_forward(x, w, bias, out, b, c_in, c_out, l, ksize, dilation)
+        }
+        Path::Small => {
+            return small::conv1d_forward(x, w, bias, out, b, c_in, c_out, l, ksize, dilation)
+        }
+        Path::Im2col => {}
     }
     let ck = c_in * ksize;
     let mut cols = crate::pool::take_raw(ck * l);
@@ -216,9 +501,18 @@ pub fn conv1d_backward(
     ksize: usize,
     dilation: usize,
 ) {
-    if use_direct(c_in, c_out, l, ksize) {
-        direct::conv1d_backward(x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation);
-        return;
+    match path(c_in, c_out, l, ksize) {
+        Path::Direct => {
+            return direct::conv1d_backward(
+                x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation,
+            );
+        }
+        Path::Small => {
+            return small::conv1d_backward(
+                x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation,
+            );
+        }
+        Path::Im2col => {}
     }
     let ck = c_in * ksize;
     let mut cols = crate::pool::take_raw(ck * l);

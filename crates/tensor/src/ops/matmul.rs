@@ -46,8 +46,12 @@ const NR: usize = 16;
 /// dominates.
 const FAST_MIN_WORK: usize = 4096;
 
-/// Above this `m·k·n` product the row-band rayon split engages.
-const PAR_MIN_WORK: usize = 1 << 21;
+/// Above this `m·k·n` product the row-band rayon split engages. Set from the
+/// measured 2-thread crossover (EXPERIMENTS.md, "GEMM band-split
+/// threshold"): every parallel call spawns its workers, which costs about
+/// 40–70 µs, so banding loses up to 8.4M multiply-adds (256×256×128) and
+/// first wins at 16.8M (256³).
+const PAR_MIN_WORK: usize = 1 << 24;
 
 /// Fixed row-band height for the parallel split. Chosen from the shape alone
 /// so that band boundaries are identical for every worker count; each output
@@ -342,21 +346,21 @@ mod x86 {
     }
 }
 
-/// Runs the best micro-kernel the CPU supports: AVX2+FMA when detected
-/// (checked once, cached), the portable unrolled core otherwise.
-#[inline(always)]
-fn microkernel(apanel: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
+#[derive(Clone, Copy, PartialEq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Simd {
+    Avx512,
+    Avx2,
+    None,
+}
+
+/// The micro-kernel tier this CPU dispatches to (detected once, cached).
+fn simd() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
-        #[derive(Clone, Copy, PartialEq)]
-        enum Simd {
-            Avx512,
-            Avx2,
-            None,
-        }
         static SIMD: OnceLock<Simd> = OnceLock::new();
-        let simd = *SIMD.get_or_init(|| {
+        *SIMD.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 Simd::Avx512
             } else if std::arch::is_x86_feature_detected!("avx2")
@@ -366,13 +370,32 @@ fn microkernel(apanel: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32; MR * N
             } else {
                 Simd::None
             }
-        });
-        match simd {
-            // SAFETY: the matching CPU feature was just verified.
-            Simd::Avx512 => return unsafe { x86::microkernel_avx512(apanel, bpanel, kc, acc) },
-            Simd::Avx2 => return unsafe { x86::microkernel_avx2(apanel, bpanel, kc, acc) },
-            Simd::None => {}
-        }
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    Simd::None
+}
+
+/// Name of the dispatched micro-kernel tier (`avx512`, `avx2+fma` or
+/// `portable`), for benchmark reports.
+pub fn isa_tier() -> &'static str {
+    match simd() {
+        Simd::Avx512 => "avx512",
+        Simd::Avx2 => "avx2+fma",
+        Simd::None => "portable",
+    }
+}
+
+/// Runs the best micro-kernel the CPU supports: AVX-512, then AVX2+FMA,
+/// then the portable unrolled core.
+#[inline(always)]
+fn microkernel(apanel: &[f32], bpanel: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
+    #[cfg(target_arch = "x86_64")]
+    match simd() {
+        // SAFETY: the matching CPU feature was verified by `simd()`.
+        Simd::Avx512 => return unsafe { x86::microkernel_avx512(apanel, bpanel, kc, acc) },
+        Simd::Avx2 => return unsafe { x86::microkernel_avx2(apanel, bpanel, kc, acc) },
+        Simd::None => {}
     }
     microkernel_portable(apanel, bpanel, kc, acc)
 }

@@ -1,6 +1,32 @@
-//! Structural ops: concat and axis slicing (forward + gradient helpers).
+//! Structural ops: concat and axis slicing (forward + gradient helpers),
+//! plus the reference permute that [`Tensor::permuted`] is checked against.
 
+use crate::shape::strides_for;
 use crate::tensor::Tensor;
+
+/// Reference permute: the per-element odometer [`Tensor::permuted`] ran
+/// before it walked strides. Every output element recomputes its source
+/// offset as a rank-length dot product. Kept for differential tests and
+/// `kernel_bench`; `axes` must be a permutation of `0..rank`.
+pub fn permute_odometer(t: &Tensor, axes: &[usize]) -> Tensor {
+    let new_shape: Vec<usize> = axes.iter().map(|&a| t.shape()[a]).collect();
+    let old_strides = strides_for(t.shape());
+    let strides: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
+    let mut out = Tensor::zeros(new_shape.clone());
+    let mut idx = vec![0usize; new_shape.len()];
+    for o in out.data_mut() {
+        let off: usize = idx.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
+        *o = t.data()[off];
+        for d in (0..idx.len()).rev() {
+            idx[d] += 1;
+            if idx[d] < new_shape[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+    out
+}
 
 /// Concatenates tensors along `axis`. All other dimensions must match.
 pub fn concat(xs: &[&Tensor], axis: usize) -> Tensor {

@@ -196,26 +196,57 @@ impl Tensor {
     }
 
     /// Permutes axes, materializing a new contiguous tensor.
+    ///
+    /// Walks strides rather than elements: an odometer over every new axis
+    /// but the last advances a source offset once per output row, and each
+    /// row is one slice copy when the last new axis is the old contiguous
+    /// one, a strided gather otherwise.
+    ///
+    /// # Panics
+    /// Panics unless `axes` is a permutation of `0..rank`.
     pub fn permuted(&self, axes: &[usize]) -> Self {
-        assert_eq!(axes.len(), self.shape.len());
+        let rank = self.shape.len();
+        assert!(
+            axes.len() == rank && (0..rank).all(|a| axes.contains(&a)),
+            "permute axes {axes:?} are not a permutation of 0..{rank} for shape {:?}",
+            self.shape
+        );
         let new_shape: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
         let old_strides = strides_for(&self.shape);
-        let new_strides_in_old: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
-        let mut out = Tensor::zeros(new_shape.clone());
-        let mut idx = vec![0usize; new_shape.len()];
-        for o in out.data.iter_mut() {
-            let off: usize = idx.iter().zip(&new_strides_in_old).map(|(&i, &s)| i * s).sum();
-            *o = self.data[off];
-            // increment odometer
-            for d in (0..idx.len()).rev() {
-                idx[d] += 1;
-                if idx[d] < new_shape[d] {
-                    break;
+        let src_strides: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
+        let n = numel(&new_shape);
+        let mut data = crate::pool::take_empty(n);
+        if n > 0 {
+            let (outer_shape, row_len, row_stride) = match rank {
+                0 => (&[][..], 1, 1),
+                _ => (&new_shape[..rank - 1], new_shape[rank - 1], src_strides[rank - 1]),
+            };
+            let mut idx = vec![0usize; outer_shape.len()];
+            let mut base = 0usize;
+            'rows: loop {
+                let src = &self.data[base..];
+                if row_stride == 1 {
+                    data.extend_from_slice(&src[..row_len]);
+                } else {
+                    data.extend(src.iter().step_by(row_stride).take(row_len));
                 }
-                idx[d] = 0;
+                let mut d = outer_shape.len();
+                loop {
+                    if d == 0 {
+                        break 'rows;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    base += src_strides[d];
+                    if idx[d] < outer_shape[d] {
+                        break;
+                    }
+                    base -= idx[d] * src_strides[d];
+                    idx[d] = 0;
+                }
             }
         }
-        out
+        Self { shape: new_shape, data }
     }
 
     /// Transposes the last two axes.
@@ -349,6 +380,22 @@ mod tests {
         let p = t3.permuted(&[2, 0, 1]);
         assert_eq!(p.shape(), &[2, 2, 2]);
         assert_eq!(p.at(&[1, 0, 1]), t3.at(&[0, 1, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permute_rejects_repeated_axis() {
+        let t = Tensor::zeros([2, 3, 4]);
+        let _ = t.permuted(&[0, 0, 1]);
+    }
+
+    /// A repeated axis of length 1 used to slip through and return a
+    /// truncated tensor (`[1, 1, 4]`, 4 of the 12 values) without error.
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permute_rejects_repeated_unit_axis() {
+        let t = Tensor::zeros([1, 3, 4]);
+        let _ = t.permuted(&[0, 0, 2]);
     }
 
     #[test]

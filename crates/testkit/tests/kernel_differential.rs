@@ -6,10 +6,15 @@
 //! seeded random shapes — including the degenerate ones (empty, 1×N,
 //! over-reaching dilation) where a blocking/panel bug would hide.
 //!
+//! The small-shape conv1d kernels (`ops::conv::small`) and the stride-walking
+//! `Tensor::permuted` promise more: the exact bits of their references, so
+//! those comparisons use `to_bits`.
+//!
 //! Shapes and data are drawn from `octs_testkit::Gen`, so any failure
 //! replays from the printed seed alone.
 
-use octs_tensor::ops::{conv, matmul};
+use octs_tensor::ops::{conv, matmul, shapeops};
+use octs_tensor::Tensor;
 use octs_testkit::Gen;
 
 const SEEDS: u64 = 25;
@@ -158,6 +163,144 @@ fn conv1d_fast_matches_direct_reference() {
     }
 }
 
+fn assert_same_bits(seed: u64, what: &str, got: &[f32], reference: &[f32]) {
+    assert_eq!(got.len(), reference.len(), "seed {seed}: {what} length");
+    for (i, (&g, &r)) in got.iter().zip(reference).enumerate() {
+        assert_eq!(g.to_bits(), r.to_bits(), "seed {seed}: {what}[{i}] got {g} vs reference {r}");
+    }
+}
+
+/// A starting accumulator with a `-0.0` every few elements: adding a
+/// `+0.0` partial sum flips those, so a kernel that skips an empty tap's
+/// `+= 0.0` (or reorders it) shows up in the bits.
+fn accumulator(gen: &mut Gen, n: usize) -> Vec<f32> {
+    (0..n).map(|i| if i % 5 == 0 { -0.0 } else { gen.f32_in(-2.0, 2.0) }).collect()
+}
+
+/// `conv::small` must reproduce `conv::direct` bit for bit — forward, `dx`,
+/// `dw` and `dbias` — on seeded shapes below the im2col threshold, including
+/// K=1, dilation 2, taps whose shift reaches past L, no bias, and gradients
+/// accumulating into non-zero buffers.
+#[test]
+fn conv1d_small_path_is_bit_identical_to_direct() {
+    const DIRECT_MAX_WORK: usize = 4096;
+    for seed in 0..SEEDS {
+        let mut gen = Gen::from_seed(2_000_000 + seed);
+        let mut shapes = vec![
+            (20, 16, 16, 4, 2, 1), // gdcc at the workloads' shape
+            (20, 16, 16, 4, 2, 2), // ... dilation 2
+            (3, 5, 7, 9, 1, 1),    // K=1
+            (2, 3, 4, 6, 3, 4),    // reach 8 >= L: the first taps never land
+            (1, 2, 3, 2, 2, 5),    // shift >= L for every tap but the last
+            (1, 1, 1, 1, 1, 1),
+        ];
+        for _ in 0..6 {
+            let (c_in, c_out, k) = (gen.usize_in(1, 16), gen.usize_in(1, 16), gen.usize_in(1, 3));
+            let l_max = ((DIRECT_MAX_WORK - 1) / (c_in * c_out * k)).clamp(1, 24);
+            let l = gen.usize_in(1, l_max);
+            shapes.push((gen.usize_in(1, 6), c_in, c_out, l, k, gen.usize_in(1, 3)));
+        }
+        for (b, c_in, c_out, l, k, d) in shapes {
+            assert!(c_out * c_in * k * l < DIRECT_MAX_WORK, "shape must take the small path");
+            let x = fill(&mut gen, b * c_in * l);
+            let w = fill(&mut gen, c_out * c_in * k);
+            let with_bias = gen.flip();
+            let bias = with_bias.then(|| fill(&mut gen, c_out));
+            let what =
+                format!("conv b={b} ci={c_in} co={c_out} l={l} k={k} d={d} bias={with_bias}");
+
+            let init = accumulator(&mut gen, b * c_out * l);
+            let mut got = init.clone();
+            let mut want = init;
+            conv::small::conv1d_forward(&x, &w, bias.as_deref(), &mut got, b, c_in, c_out, l, k, d);
+            conv::direct::conv1d_forward(
+                &x,
+                &w,
+                bias.as_deref(),
+                &mut want,
+                b,
+                c_in,
+                c_out,
+                l,
+                k,
+                d,
+            );
+            assert_same_bits(seed, &format!("{what} fwd"), &got, &want);
+
+            let dout = fill(&mut gen, b * c_out * l);
+            let dx0 = accumulator(&mut gen, x.len());
+            let dw0 = accumulator(&mut gen, w.len());
+            let db0 = accumulator(&mut gen, c_out);
+            let (mut dxg, mut dwg, mut dbg) = (dx0.clone(), dw0.clone(), db0.clone());
+            let (mut dxw, mut dww, mut dbw) = (dx0, dw0, db0);
+            conv::small::conv1d_backward(
+                &x,
+                &w,
+                &dout,
+                &mut dxg,
+                &mut dwg,
+                with_bias.then_some(&mut dbg[..]),
+                b,
+                c_in,
+                c_out,
+                l,
+                k,
+                d,
+            );
+            conv::direct::conv1d_backward(
+                &x,
+                &w,
+                &dout,
+                &mut dxw,
+                &mut dww,
+                with_bias.then_some(&mut dbw[..]),
+                b,
+                c_in,
+                c_out,
+                l,
+                k,
+                d,
+            );
+            assert_same_bits(seed, &format!("{what} dx"), &dxg, &dxw);
+            assert_same_bits(seed, &format!("{what} dw"), &dwg, &dww);
+            assert_same_bits(seed, &format!("{what} dbias"), &dbg, &dbw);
+        }
+    }
+}
+
+/// `Tensor::permuted` must reproduce the odometer exactly — shape and bits —
+/// over ranks 1–5: generated shapes (zero-length dimensions included) and
+/// axis orders, plus the ST-block layouts and the identity pinned.
+#[test]
+fn permute_matches_odometer_reference() {
+    let pinned: &[(&[usize], &[usize])] = &[
+        (&[4, 16, 5, 4], &[0, 2, 1, 3]), // the ST-block temporal layout
+        (&[4, 16, 5, 4], &[0, 3, 2, 1]), // the ST-block spatial layout
+        (&[3, 0, 2], &[2, 0, 1]),        // zero-length dim
+        (&[2, 3, 4], &[0, 1, 2]),        // identity
+        (&[7], &[0]),
+    ];
+    let mut cases: Vec<(Vec<usize>, Vec<usize>)> =
+        pinned.iter().map(|(s, a)| (s.to_vec(), a.to_vec())).collect();
+    for seed in 0..SEEDS {
+        let mut gen = Gen::from_seed(3_000_000 + seed);
+        for rank in 1..=5 {
+            let shape: Vec<usize> = (0..rank).map(|_| gen.usize_in(0, 5)).collect();
+            let axes = gen.shuffled((0..rank).collect());
+            cases.push((shape, axes));
+        }
+    }
+    for (case, (shape, axes)) in cases.iter().enumerate() {
+        let mut gen = Gen::from_seed(4_000_000 + case as u64);
+        let t = Tensor::new(shape.clone(), fill(&mut gen, shape.iter().product()));
+        let got = t.permuted(axes);
+        let want = shapeops::permute_odometer(&t, axes);
+        let what = format!("permute {shape:?} by {axes:?}");
+        assert_eq!(got.shape(), want.shape(), "case {case}: {what}");
+        assert_same_bits(case as u64, &what, got.data(), want.data());
+    }
+}
+
 /// The row-band parallel split must be byte-identical for any worker count:
 /// band boundaries derive from the shape alone and every output element is
 /// reduced sequentially, so `RAYON_NUM_THREADS` cannot move a single bit.
@@ -165,7 +308,7 @@ fn conv1d_fast_matches_direct_reference() {
 /// the split threshold, more rows than one band).
 #[test]
 fn matmul_byte_identical_across_thread_counts() {
-    let (m, k, n) = (160, 128, 128);
+    let (m, k, n) = (256, 256, 256);
     let mut gen = Gen::from_seed(42);
     let a = fill(&mut gen, m * k);
     let b = fill(&mut gen, k * n);
