@@ -8,23 +8,27 @@
 //! (forward and backward) against the direct loops, and the stride-walking
 //! `Tensor::permuted` against the per-element odometer it replaced. Also
 //! times one full training run both ways and reports ns per optimizer step
-//! plus the buffer-pool hit rate. Results, with the host's cores, rayon
-//! threads, dispatched ISA tier and rustc, land in `BENCH_kernels.json`.
+//! plus the buffer-pool hit rate, and one predict of an inference fixture
+//! on the tape engine against its compiled frozen plan. Results, with the
+//! host's cores, rayon threads, dispatched ISA tier and rustc, land in
+//! `BENCH_kernels.json`.
 //!
 //! Exits nonzero if any fast kernel is slower than its reference (the CI
 //! smoke gate), or — in full mode — if matmul speedup at the GIN/ST-block
-//! shapes falls below the 3x acceptance floor.
+//! shapes falls below the 3x acceptance floor or the frozen plan is not
+//! 1.5x faster than the tape.
 //!
 //! ```sh
-//! cargo run --release --bin kernel_bench            # full, 3x gate
+//! cargo run --release --bin kernel_bench            # full, 3x/1.5x gates
 //! cargo run --release --bin kernel_bench -- --quick # CI smoke, >=1x gate
 //! ```
 
+use octs_bench::Host;
 use octs_data::{Adjacency, DatasetProfile, Domain, ForecastSetting, ForecastTask};
 use octs_model::{train_forecaster, Forecaster, FrozenForecaster, ModelDims, TrainConfig};
 use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
 use octs_tensor::ops::{conv, matmul, shapeops};
-use octs_tensor::{Precision, Tensor};
+use octs_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -83,20 +87,8 @@ struct TrainRow {
 struct InferRow {
     batch: usize,
     tape_ns: f64,
-    full_ns: f64,
-    fused_ns: f64,
-    int8_ns: f64,
+    frozen_ns: f64,
     frozen_speedup: f64,
-    int8_speedup: f64,
-    quantized_matmuls: usize,
-}
-
-#[derive(Serialize)]
-struct Host {
-    cores: usize,
-    rayon_threads: usize,
-    isa_tier: &'static str,
-    rustc: String,
 }
 
 #[derive(Serialize)]
@@ -140,15 +132,6 @@ fn bench_ns<F: FnMut()>(target: Duration, mut f: F) -> f64 {
 
 fn filled(n: usize, scale: f32) -> Vec<f32> {
     (0..n).map(|i| ((i * 2_654_435_761 % 1000) as f32 / 1000.0 - 0.5) * scale).collect()
-}
-
-fn rustc_version() -> String {
-    std::process::Command::new(std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into()))
-        .arg("--version")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".into(), |v| v.trim().to_string())
 }
 
 fn main() {
@@ -365,8 +348,8 @@ fn main() {
     );
 
     // --- 4. Frozen-forward inference: tape vs compiled plans ---------------
-    // The serving fixture shape: 3 ST-blocks at h=8 / i=16 (the output head
-    // crosses the int8 quantization threshold), 8 nodes, 12-step history.
+    // The serving fixture shape: 3 ST-blocks at h=8 / i=16, 8 nodes,
+    // 12-step history.
     let infer_dims = ModelDims { n: 8, f: 2, p: 12, out_steps: 3 };
     let infer_adj = Adjacency::identity(infer_dims.n);
     let infer_fixture = || {
@@ -385,37 +368,16 @@ fn main() {
         let tape_ns = bench_ns(target, || {
             tape_fc.predict(&x);
         });
-        let mut tier_ns = Vec::new();
-        for tier in [Precision::Full, Precision::Fused, Precision::Int8] {
-            let mut frozen = FrozenForecaster::new(infer_fixture(), tier);
-            frozen.predict(&x); // compile outside the timed window
-            tier_ns.push(bench_ns(target, || {
-                frozen.predict(&x);
-            }));
-        }
-        let (g, xin, pred) = infer_fixture().forward_traced(&x);
-        let quantized = g.freeze(&xin, &pred, Precision::Int8).quantized_matmuls();
+        let mut frozen = FrozenForecaster::new(infer_fixture());
+        frozen.predict(&x); // compile outside the timed window
+        let frozen_ns = bench_ns(target, || {
+            frozen.predict(&x);
+        });
 
-        let row = InferRow {
-            batch,
-            tape_ns,
-            full_ns: tier_ns[0],
-            fused_ns: tier_ns[1],
-            int8_ns: tier_ns[2],
-            frozen_speedup: tape_ns / tier_ns[1],
-            int8_speedup: tape_ns / tier_ns[2],
-            quantized_matmuls: quantized,
-        };
+        let row = InferRow { batch, tape_ns, frozen_ns, frozen_speedup: tape_ns / frozen_ns };
         eprintln!(
-            "[infer]  B={batch}  tape {:>8.0} ns  full {:>8.0} ns  fused {:>8.0} ns  int8 \
-             {:>8.0} ns  frozen {:>5.2}x  int8 {:>5.2}x  ({} quantized matmuls)",
-            row.tape_ns,
-            row.full_ns,
-            row.fused_ns,
-            row.int8_ns,
-            row.frozen_speedup,
-            row.int8_speedup,
-            row.quantized_matmuls
+            "[infer]  B={batch}  tape {:>8.0} ns  frozen {:>8.0} ns  {:>5.2}x",
+            row.tape_ns, row.frozen_ns, row.frozen_speedup
         );
         infer_rows.push(row);
     }
@@ -424,15 +386,9 @@ fn main() {
     let min_matmul_speedup = matmul_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let min_frozen_speedup =
         infer_rows.iter().map(|r| r.frozen_speedup).fold(f64::INFINITY, f64::min);
-    let host = Host {
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rayon_threads: rayon::current_num_threads(),
-        isa_tier: matmul::isa_tier(),
-        rustc: rustc_version(),
-    };
     let report = Report {
         quick,
-        host,
+        host: Host::current(),
         matmul: matmul_rows,
         conv: conv_rows,
         permute: permute_rows,
@@ -446,8 +402,8 @@ fn main() {
                permute rows time Tensor::permuted against the per-element odometer it \
                replaced; train row is one \
                full train_forecaster run divided by optimizer steps; infer rows time one \
-               predict on a 3-block h=8/i=16 forecaster — tape engine vs compiled frozen \
-               plans at each precision tier"
+               predict on a 3-block h=8/i=16 forecaster — tape engine vs its compiled \
+               frozen plan"
             .to_string(),
     };
     let json = serde_json::to_string(&report).expect("report serializes");
@@ -480,11 +436,6 @@ fn main() {
             "frozen forward slower than tape at B={}: {:.2}x",
             r.batch,
             r.frozen_speedup
-        );
-        assert!(
-            r.quantized_matmuls >= 1,
-            "int8 inference fixture quantized nothing at B={} — threshold drift?",
-            r.batch
         );
     }
     if !quick {

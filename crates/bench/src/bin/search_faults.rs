@@ -70,7 +70,7 @@ fn measure_search(pool_size: usize) -> SearchRun {
     let task = target_task();
     let space = JointSpace::tiny();
     let cfg = AutoCtsPlusConfig::test();
-    let plan = FaultPlan::seeded(0xFA17, pool_size as u64, 1, 1, &[], &[]);
+    let plan = FaultPlan::seeded(0xFA17, pool_size as u64, 1, 1, &[]);
     let faulty: Vec<u64> =
         plan.nan_loss_units.keys().copied().chain(plan.panic_units.iter().copied()).collect();
 

@@ -6,16 +6,19 @@
 //! request as soon as the previous one returns). Every concurrency level is
 //! measured twice — `max_batch = 1` (unbatched baseline) and the default
 //! coalescing policy — and the report gates on the micro-batcher actually
-//! paying off. Results land in `BENCH_serving.json`.
+//! paying off, and on the frozen engine beating the tape engine. Results,
+//! with the host's cores, rayon threads, dispatched ISA tier and rustc,
+//! land in `BENCH_serving.json`.
 //!
 //! ```sh
 //! cargo run --release --bin serving_bench            # full load, 1.5x gate
 //! cargo run --release --bin serving_bench -- --quick # CI smoke, 1.0x gate
 //! ```
 
+use octs_bench::Host;
 use octs_data::Adjacency;
 use octs_model::{Forecaster, ModelDims};
-use octs_serve::{BatchPolicy, ForecastServer, ModelRegistry, Precision, ServableCheckpoint};
+use octs_serve::{BatchPolicy, Engine, ForecastServer, ModelRegistry, ServableCheckpoint};
 use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
 use octs_tensor::Tensor;
 use rand::SeedableRng;
@@ -46,16 +49,15 @@ struct LevelRow {
     unbatched: LatencyStats,
     batched: LatencyStats,
     frozen: LatencyStats,
-    int8: LatencyStats,
     throughput_ratio: f64,
     frozen_ratio: f64,
-    int8_ratio: f64,
     batched_mean_batch_size: f64,
 }
 
 #[derive(Serialize)]
 struct Report {
     quick: bool,
+    host: Host,
     requests_per_client: usize,
     model_params: usize,
     deep_model_params: usize,
@@ -154,10 +156,9 @@ fn main() {
 
     // Two fixtures, one per study. The batching rows keep the seed's sampled
     // tiny model, so the micro-batching ratio stays comparable across
-    // releases. The engine rows use a deeper model (3 ST-blocks, h=8 / i=16
-    // so the output head crosses the int8 quantization threshold): the
-    // frozen backend's advantage is per-op scheduling overhead, which a
-    // one-block model is too shallow to expose.
+    // releases. The engine rows use a deeper model (3 ST-blocks, h=8 /
+    // i=16): the frozen backend's advantage is per-op scheduling overhead,
+    // which a one-block model is too shallow to expose.
     let space = JointSpace::tiny();
     let ah = space.sample(&mut ChaCha8Rng::seed_from_u64(7));
     let adj = Adjacency::identity(N);
@@ -192,10 +193,9 @@ fn main() {
     // amortize per-forward fixed cost, and the tape's rebuild-the-graph cost
     // is that fixed cost at its worst (this also keeps the row comparable
     // across releases). The engine study then holds the coalescing policy
-    // fixed and swaps the engine: tape -> frozen Fused -> frozen Int8.
-    let tape_unbatched = BatchPolicy { precision: None, ..BatchPolicy::unbatched() };
-    let tape_batched = BatchPolicy { precision: None, ..batched_policy };
-    let int8_policy = BatchPolicy { precision: Some(Precision::Int8), ..batched_policy };
+    // fixed and swaps the engine: tape -> frozen.
+    let tape_unbatched = BatchPolicy { precision: Engine::Tape, ..BatchPolicy::unbatched() };
+    let tape_batched = BatchPolicy { precision: Engine::Tape, ..batched_policy };
 
     let mut rows = Vec::new();
     for &clients in levels {
@@ -203,25 +203,21 @@ fn main() {
         let (batched, mean_bs) = run_load(&root, TASK, tape_batched, clients, requests);
         let (deep_tape, _) = run_load(&root, TASK_DEEP, tape_batched, clients, requests);
         let (frozen, _) = run_load(&root, TASK_DEEP, batched_policy, clients, requests);
-        let (int8, _) = run_load(&root, TASK_DEEP, int8_policy, clients, requests);
         let ratio = batched.rps / unbatched.rps;
         let frozen_ratio = frozen.rps / deep_tape.rps;
-        let int8_ratio = int8.rps / deep_tape.rps;
         eprintln!(
             "[c={clients:>2}] tape unbatched {:>7.0} rps | tape batched {:>7.0} rps \
              p99 {:>7.0}us (mean batch {:.1}) | ratio {:.2}x | frozen {:>7.0} rps \
-             {frozen_ratio:.2}x | int8 {:>7.0} rps {int8_ratio:.2}x",
-            unbatched.rps, batched.rps, batched.p99_us, mean_bs, ratio, frozen.rps, int8.rps
+             {frozen_ratio:.2}x",
+            unbatched.rps, batched.rps, batched.p99_us, mean_bs, ratio, frozen.rps
         );
         rows.push(LevelRow {
             concurrency: clients,
             unbatched,
             batched,
             frozen,
-            int8,
             throughput_ratio: ratio,
             frozen_ratio,
-            int8_ratio,
             batched_mean_batch_size: mean_bs,
         });
     }
@@ -237,6 +233,7 @@ fn main() {
 
     let report = Report {
         quick,
+        host: Host::current(),
         requests_per_client: requests,
         model_params,
         deep_model_params,
@@ -245,10 +242,10 @@ fn main() {
         ratio_at_max_concurrency: ratio_at_max,
         frozen_ratio_at_max_concurrency: frozen_at_max,
         note: "closed-loop clients against one task lane; unbatched/batched rows run the tape \
-               engine (precision: None) on the seed's tiny model at max_batch 1 vs 32 / \
-               max_delay 0 (queue-pressure batching); frozen/int8 rows run a deeper 3-block \
-               h=8/i=16 model under the same batched policy, ratioed against that model's tape \
-               run; latencies are client-observed submit-to-response"
+               engine on the seed's tiny model at max_batch 1 vs 32 / max_delay 0 \
+               (queue-pressure batching); frozen rows run a deeper 3-block h=8/i=16 model \
+               under the same batched policy, ratioed against that model's tape run; \
+               latencies are client-observed submit-to-response"
             .to_string(),
     };
     let json = serde_json::to_string(&report).expect("report serializes");

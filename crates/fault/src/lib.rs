@@ -27,10 +27,6 @@
 //!   [`FaultPlan::nan_at`]) — the `k`-th batched forward at a serving site
 //!   (e.g. `serve.forward.<task>`) panics mid-flight or emits non-finite
 //!   output, exercising the lane's batch isolation and circuit breaker.
-//! - **(site, op)** for quantization overflows ([`FaultPlan::quant_overflow`])
-//!   — the `k`-th int8 load probe at `serve.quant.<task>` saturates its
-//!   activation quantization, so the probe must trip the serving layer's
-//!   precision fallback instead of shipping clipped forecasts.
 //! - **epoch** for transient comparator pre-training NaNs
 //!   ([`FaultPlan::pretrain_nan`]) — consumed once, so the rollback + retry
 //!   path is seen to recover.
@@ -96,11 +92,6 @@ pub struct FaultPlan {
     /// the `op`-th guarded forward at `site` reports garbage output, the
     /// numeric-poisoning sibling of [`FaultPlan::panic_at`].
     pub site_nans: BTreeSet<(String, u64)>,
-    /// One-shot int8 activation-overflow injections keyed by `(site, op
-    /// index)`: the `op`-th quantized load probe at `site` (e.g.
-    /// `serve.quant.<task>`) runs with saturating activation quantization,
-    /// so the serving layer's precision fallback path is exercised.
-    pub quant_overflows: BTreeSet<(String, u64)>,
 }
 
 impl FaultPlan {
@@ -167,28 +158,18 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a saturating int8 activation overflow for the `op`-th
-    /// quantized load probe at `site` (consumed on fire).
-    pub fn quant_overflow(mut self, site: &str, op: u64) -> Self {
-        self.quant_overflows.insert((site.to_string(), op));
-        self
-    }
-
     /// A seeded random plan over `n_units` labelling units: `n_nan` distinct
     /// units diverge with NaN losses (at epoch 0) and `n_panic` further
     /// distinct units panic. For every registered IO site `(name, n_ops)` in
     /// `io_sites`, one IO error and one IO delay (1–15 ms) are drawn from the
     /// site's first `n_ops` operation ordinals, so seeded chaos plans cover
-    /// the IO paths too. For every quantized-probe site `(name, n_ops)` in
-    /// `quant_sites`, one activation overflow is drawn the same way. Fully
-    /// determined by `seed` and the site lists.
+    /// the IO paths too. Fully determined by `seed` and the site list.
     pub fn seeded(
         seed: u64,
         n_units: u64,
         n_nan: usize,
         n_panic: usize,
         io_sites: &[(&str, u64)],
-        quant_sites: &[(&str, u64)],
     ) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut units: Vec<u64> = (0..n_units).collect();
@@ -213,13 +194,6 @@ impl FaultPlan {
             plan.io_faults.insert((site.to_string(), rng.gen_range(0..n_ops)));
             let op = rng.gen_range(0..n_ops);
             plan.io_delays.insert((site.to_string(), op), rng.gen_range(1..=15));
-        }
-        for &(site, n_ops) in quant_sites {
-            if n_ops == 0 {
-                continue;
-            }
-            use rand::Rng;
-            plan.quant_overflows.insert((site.to_string(), rng.gen_range(0..n_ops)));
         }
         plan
     }
@@ -397,18 +371,6 @@ pub fn nan_at_site(site: &str, op: u64) -> bool {
     with_plan(|p| p.site_nans.remove(&(site.to_string(), op))).unwrap_or(false)
 }
 
-/// Hook for quantized load probes (e.g. a serving lane's int8 conformance
-/// check at model load): true when the `op`-th probe at `site` is scheduled
-/// to overflow (consumed on fire). The caller arms saturating activation
-/// quantization for the probe forward, so the downstream tolerance check
-/// fails the way a genuinely clipping model would.
-pub fn quant_overflow_at(site: &str, op: u64) -> bool {
-    if !armed() {
-        return false;
-    }
-    with_plan(|p| p.quant_overflows.remove(&(site.to_string(), op))).unwrap_or(false)
-}
-
 /// Hook for persistence layers: sleeps for a scheduled IO delay at
 /// `(site, op)` exactly once (consumed), a no-op otherwise. Callers time the
 /// surrounding operation as usual, so an injected delay surfaces in the same
@@ -448,8 +410,16 @@ fn install_quiet_hook() {
 mod tests {
     use super::*;
 
+    /// Holds the scope lock without arming a plan, so no concurrently
+    /// running test's scope can be active while the caller checks the
+    /// disarmed state.
+    fn no_scope() -> MutexGuard<'static, ()> {
+        SCOPE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn inactive_hooks_are_noops() {
+        let _serial = no_scope();
         assert!(!armed());
         assert!(!nan_loss_at(0));
         maybe_panic_unit();
@@ -458,7 +428,6 @@ mod tests {
         assert!(io_fault("journal.append", 0).is_ok());
         maybe_panic_site("serve.forward.t", 0);
         assert!(!nan_at_site("serve.forward.t", 0));
-        assert!(!quant_overflow_at("serve.quant.t", 0));
     }
 
     #[test]
@@ -527,14 +496,15 @@ mod tests {
             let _scope = FaultScope::activate(FaultPlan::new().panic_unit(1));
             assert!(armed());
         }
+        let _serial = no_scope();
         assert!(!armed());
         with_unit(1, maybe_panic_unit); // must not panic once disarmed
     }
 
     #[test]
     fn seeded_plans_are_deterministic_and_disjoint() {
-        let a = FaultPlan::seeded(9, 32, 2, 3, &[], &[]);
-        let b = FaultPlan::seeded(9, 32, 2, 3, &[], &[]);
+        let a = FaultPlan::seeded(9, 32, 2, 3, &[]);
+        let b = FaultPlan::seeded(9, 32, 2, 3, &[]);
         assert_eq!(a, b);
         assert_eq!(a.nan_loss_units.len(), 2);
         assert_eq!(a.panic_units.len(), 3);
@@ -542,16 +512,14 @@ mod tests {
             assert!(!a.panic_units.contains(u), "unit {u} scheduled twice");
         }
         assert!(a.io_faults.is_empty() && a.io_delays.is_empty(), "no sites registered");
-        assert!(a.quant_overflows.is_empty(), "no quant sites registered");
-        assert_ne!(a, FaultPlan::seeded(10, 32, 2, 3, &[], &[]));
+        assert_ne!(a, FaultPlan::seeded(10, 32, 2, 3, &[]));
     }
 
     #[test]
     fn seeded_plans_cover_registered_io_sites_deterministically() {
         let sites: &[(&str, u64)] = &[("registry.load", 6), ("journal.append", 10)];
-        let quant_sites: &[(&str, u64)] = &[("serve.quant.t", 4)];
-        let a = FaultPlan::seeded(21, 16, 1, 1, sites, quant_sites);
-        let b = FaultPlan::seeded(21, 16, 1, 1, sites, quant_sites);
+        let a = FaultPlan::seeded(21, 16, 1, 1, sites);
+        let b = FaultPlan::seeded(21, 16, 1, 1, sites);
         assert_eq!(a, b, "same seed and sites must give the same plan");
         for &(site, n_ops) in sites {
             assert!(
@@ -563,15 +531,9 @@ mod tests {
                 "site {site} got no IO delay in range"
             );
         }
+        assert_ne!(a, FaultPlan::seeded(22, 16, 1, 1, sites), "seed changes the plan");
         assert!(
-            a.quant_overflows.iter().any(|(s, op)| s == "serve.quant.t" && *op < 4),
-            "quant site got no overflow in range"
-        );
-        assert_ne!(a, FaultPlan::seeded(22, 16, 1, 1, sites, quant_sites), "seed changes the plan");
-        assert!(
-            FaultPlan::seeded(21, 16, 1, 1, &[("registry.load", 0)], &[("serve.quant.t", 0)])
-                .io_faults
-                .is_empty(),
+            FaultPlan::seeded(21, 16, 1, 1, &[("registry.load", 0)]).io_faults.is_empty(),
             "a zero-op site registers nothing"
         );
     }
@@ -590,16 +552,5 @@ mod tests {
         assert!(!nan_at_site("serve.forward.u", 4));
         assert!(nan_at_site("serve.forward.t", 4));
         assert!(!nan_at_site("serve.forward.t", 4), "one-shot: consumed");
-    }
-
-    #[test]
-    fn quant_overflows_fire_at_their_ordinal_and_consume() {
-        let plan = FaultPlan::new().quant_overflow("serve.quant.t", 0);
-        let _scope = FaultScope::activate(plan);
-
-        assert!(!quant_overflow_at("serve.quant.t", 1), "wrong ordinal");
-        assert!(!quant_overflow_at("serve.quant.u", 0), "wrong site");
-        assert!(quant_overflow_at("serve.quant.t", 0));
-        assert!(!quant_overflow_at("serve.quant.t", 0), "one-shot: consumed");
     }
 }

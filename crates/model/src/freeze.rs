@@ -8,43 +8,31 @@
 //! request replays the plan with zero tape overhead.
 //!
 //! Predictions always come from the compiled plan — including the very
-//! first call at a size — so [`Precision::Int8`] serves the same numerics
-//! from request one, and the `Precision::Full`/`Fused` tiers stay
-//! byte-identical to [`Forecaster::predict`] (pinned by a property test in
-//! octs-testkit).
+//! first call at a size — and every plan is byte-identical to
+//! [`Forecaster::predict`] (pinned by the frozen-conformance sweep and a
+//! property test in octs-testkit).
 
 use crate::forecaster::Forecaster;
-use octs_tensor::{FrozenGraph, Precision, Tensor};
+use octs_tensor::{FrozenGraph, Tensor};
 use std::collections::HashMap;
 
-/// A [`Forecaster`] compiled for inference at a fixed [`Precision`].
+/// A [`Forecaster`] compiled for tape-free inference.
 pub struct FrozenForecaster {
     fc: Forecaster,
-    precision: Precision,
     plans: HashMap<usize, FrozenGraph>,
 }
 
 impl FrozenForecaster {
     /// Wraps a trained forecaster. The model is forced into evaluation mode:
     /// frozen graphs bake dropout out entirely.
-    pub fn new(mut fc: Forecaster, precision: Precision) -> Self {
+    pub fn new(mut fc: Forecaster) -> Self {
         fc.training = false;
-        Self { fc, precision, plans: HashMap::new() }
-    }
-
-    /// The precision tier every compiled plan uses.
-    pub fn precision(&self) -> Precision {
-        self.precision
+        Self { fc, plans: HashMap::new() }
     }
 
     /// The wrapped forecaster.
     pub fn forecaster(&self) -> &Forecaster {
         &self.fc
-    }
-
-    /// Unwraps the forecaster, dropping the compiled plans.
-    pub fn into_inner(self) -> Forecaster {
-        self.fc
     }
 
     /// Number of batch-size-specialized plans compiled so far.
@@ -58,7 +46,7 @@ impl FrozenForecaster {
         let b = x.shape()[0];
         if !self.plans.contains_key(&b) {
             let (g, xin, pred) = self.fc.forward_traced(x);
-            self.plans.insert(b, g.freeze(&xin, &pred, self.precision));
+            self.plans.insert(b, g.freeze(&xin, &pred));
         }
         self.plans[&b].run(x)
     }
@@ -95,20 +83,18 @@ mod tests {
     }
 
     #[test]
-    fn full_and_fused_match_tape_bit_for_bit() {
-        for precision in [Precision::Full, Precision::Fused] {
-            let (mut fc, x) = fixture(7);
-            let want = fc.predict(&x);
-            let mut frozen = FrozenForecaster::new(fc, precision);
-            assert_eq!(bits(&frozen.predict(&x)), bits(&want), "{precision:?}");
-            assert_eq!(bits(&frozen.predict(&x)), bits(&want), "{precision:?} warm plan");
-        }
+    fn frozen_matches_tape_bit_for_bit() {
+        let (mut fc, x) = fixture(7);
+        let want = fc.predict(&x);
+        let mut frozen = FrozenForecaster::new(fc);
+        assert_eq!(bits(&frozen.predict(&x)), bits(&want));
+        assert_eq!(bits(&frozen.predict(&x)), bits(&want), "warm plan");
     }
 
     #[test]
     fn plans_are_cached_per_batch_size() {
         let (fc, x) = fixture(8);
-        let mut frozen = FrozenForecaster::new(fc, Precision::Fused);
+        let mut frozen = FrozenForecaster::new(fc);
         frozen.predict(&x);
         frozen.predict(&x);
         assert_eq!(frozen.plans_compiled(), 1);
@@ -117,17 +103,20 @@ mod tests {
         assert_eq!(frozen.plans_compiled(), 2);
     }
 
+    /// A forecaster handed over still in training mode, with dropout
+    /// enabled, must not get a dropout mask baked into its plans: `new`
+    /// forces evaluation mode, so the plan serves the eval forecast.
     #[test]
-    fn int8_predictions_track_tape_within_tolerance() {
-        let (mut fc, x) = fixture(9);
+    fn new_forces_evaluation_mode() {
+        let (fc, x) = fixture(9);
+        let mut ah = fc.ah.clone();
+        ah.hyper.delta = 1;
+        let mut fc = Forecaster::new(ah, fc.dims, &Adjacency::identity(4), 9);
+        assert!(fc.training && fc.ah.hyper.dropout_rate() > 0.0);
         let want = fc.predict(&x);
-        let mut frozen = FrozenForecaster::new(fc, Precision::Int8);
-        let got = frozen.predict(&x);
-        let ref_max = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (a, b) in got.data().iter().zip(want.data()) {
-            assert!((a - b).abs() / ref_max.max(1.0) < 5e-2, "int8 {a} vs tape {b}");
-        }
-        // first call and warm plan must agree bit-for-bit
-        assert_eq!(bits(&frozen.predict(&x)), bits(&got));
+        let mut frozen = FrozenForecaster::new(fc);
+        assert!(!frozen.forecaster().training);
+        assert_eq!(bits(&frozen.predict(&x)), bits(&want));
+        assert_eq!(bits(&frozen.tape_predict(&x)), bits(&want));
     }
 }

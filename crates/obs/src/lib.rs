@@ -441,8 +441,16 @@ pub fn event(name: &'static str, value: f64, detail: &str) {
 mod tests {
     use super::*;
 
+    /// Holds the scope lock without attaching a recorder, so no
+    /// concurrently running test's scope can be active while the caller
+    /// checks the detached state.
+    fn no_scope() -> MutexGuard<'static, ()> {
+        SCOPE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn detached_hooks_are_noops() {
+        let _serial = no_scope();
         assert!(!armed());
         let _s = span("noop");
         counter("noop.counter", 3);
@@ -474,6 +482,7 @@ mod tests {
             event("rollback", 1.0, "epoch 3");
         }
         // scope dropped: hooks detach again
+        let _serial = no_scope();
         assert!(!armed());
         counter("cache.hits", 100); // must not land
 

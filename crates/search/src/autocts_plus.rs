@@ -213,6 +213,13 @@ mod tests {
         ForecastTask::new(p.generate(0), ForecastSetting::multi(4, 2), 0.6, 0.2, 2)
     }
 
+    /// Holds the process-wide fault scope with an empty plan: fault plans
+    /// are global, so without it a concurrently running fault test's
+    /// scheduled NaN loss or panic can fire in this test's search.
+    fn no_faults() -> octs_fault::FaultScope {
+        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
+    }
+
     #[test]
     fn end_to_end_per_task_search() {
         let t = task();
@@ -244,6 +251,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let _serial = no_faults();
         let t = task();
         let cfg = AutoCtsPlusConfig::test();
         let a = autocts_plus_search(&t, &JointSpace::tiny(), &cfg).unwrap();
@@ -328,6 +336,7 @@ mod tests {
         // cannot perturb RNG streams, ranking order, or training, so the
         // winner (and its val MAE, bit for bit) must match a recorder-off
         // run. Meanwhile the trace itself must cover the pipeline phases.
+        let _serial = no_faults();
         let t = task();
         let space = JointSpace::tiny();
         let cfg = AutoCtsPlusConfig::test();

@@ -1,11 +1,11 @@
 //! Per-task serving lanes: a bounded request queue with admission control,
-//! a dedicated worker thread owning the model, the dynamic micro-batcher
-//! between them, and the self-healing machinery — per-request deadlines,
-//! `catch_unwind`-guarded forwards, and a per-lane circuit breaker — that
-//! keeps a lane answering (with typed errors, never hangs) under overload
-//! and injected faults.
+//! a dedicated worker thread owning the model (and its compiled frozen
+//! plans, one per batch size), the dynamic micro-batcher between them, and
+//! the self-healing machinery — per-request deadlines, `catch_unwind`-guarded
+//! forwards, and a per-lane circuit breaker — that keeps a lane answering
+//! (with typed errors, never hangs) under overload and injected faults.
 
-use crate::model::{validate_outputs, ServableModel};
+use crate::model::{validate_outputs, Engine, ServableModel};
 use crate::ServeError;
 use octs_tensor::Tensor;
 use std::collections::VecDeque;
@@ -83,11 +83,9 @@ pub struct BatchPolicy {
     pub reload_retries: usize,
     /// First wait between heal reload attempts.
     pub reload_backoff: Duration,
-    /// Precision policy models are loaded at: `None` serves from the tape
-    /// engine (the benchmark baseline); `Some(tier)` serves compiled frozen
-    /// plans, with [`octs_tensor::Precision::Int8`] subject to the load-time
-    /// conformance probe (see [`crate::ServableModel::from_checkpoint_with`]).
-    pub precision: Option<octs_tensor::Precision>,
+    /// Engine models are loaded on (see
+    /// [`crate::ServableModel::from_checkpoint_with`]).
+    pub precision: Engine,
 }
 
 impl Default for BatchPolicy {
@@ -102,7 +100,7 @@ impl Default for BatchPolicy {
             breaker_max_backoff: Duration::from_secs(2),
             reload_retries: 3,
             reload_backoff: Duration::from_millis(10),
-            precision: Some(octs_tensor::Precision::Fused),
+            precision: Engine::Frozen,
         }
     }
 }

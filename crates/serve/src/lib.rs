@@ -15,7 +15,7 @@
 //!   backpressure and no model locking.
 //! - The **dynamic micro-batcher** inside each lane's worker: concurrent
 //!   requests arriving within a [`BatchPolicy`] time/size window are stacked
-//!   into one `[B, F, N, P]` tensor and answered by a single pooled-GEMM
+//!   into one `[B, F, N, P]` tensor and answered by a single frozen
 //!   forward, then demuxed per request. Batched rows are bit-identical to
 //!   single-request forwards (row dot products are independent of `B`), so
 //!   batching is purely a throughput decision.
@@ -45,26 +45,21 @@
 //!   (transient IO errors retried), and closes again after a successful
 //!   one-request half-open probe.
 //!
-//! Inference backend: lanes forward through a compiled frozen engine
-//! (`octs_tensor::FrozenGraph` via `octs_model::FrozenForecaster`) — the
-//! [`BatchPolicy::precision`] policy picks the tier at model load. The
-//! default `Some(Precision::Fused)` is bit-identical to the tape engine;
-//! `Some(Precision::Int8)` additionally quantizes large weight matrices,
-//! gated by a load-time conformance probe that demotes an over-budget
-//! checkpoint to `Fused` (reported via `serve.precision_fallback`) rather
-//! than serving silently wrong forecasts; `None` keeps the tape engine as
-//! the benchmark baseline.
+//! Inference backend: lanes forward through one compiled frozen engine
+//! (`octs_tensor::FrozenGraph` via `octs_model::FrozenForecaster`), a
+//! tape-free replay bit-identical to the tape forward. The
+//! [`BatchPolicy::precision`] field picks the [`Engine`] at model load:
+//! [`Engine::Frozen`] by default, [`Engine::Tape`] as the benchmark
+//! baseline and reference.
 //!
 //! Observability: `serve.queue_wait_us`, `serve.batch_size` and
 //! `serve.e2e_us` histograms plus `serve.requests` / `serve.batches` /
 //! `serve.shed` / `serve.deadline_expired` / `serve.breaker_open` /
-//! `serve.breaker_close` / `serve.lane_restart` /
-//! `serve.precision_fallback` counters flow through
+//! `serve.breaker_close` / `serve.lane_restart` counters flow through
 //! `octs-obs` whenever a recorder is attached. Fault injection: `octs-fault`
 //! hooks at the `registry.load` site cover slow and failed checkpoint loads,
-//! the task-qualified `serve.forward.<task>` site covers slow, panicking
-//! and NaN-emitting forwards, and the `serve.quant.<task>` site forces
-//! saturating int8 probes that must trip the precision fallback.
+//! and the task-qualified `serve.forward.<task>` site covers slow, panicking
+//! and NaN-emitting forwards.
 
 mod batcher;
 mod model;
@@ -75,11 +70,7 @@ pub use batcher::{
     forward_fault_site, BatchPolicy, Forecast, PendingForecast, Reloader, ShedPolicy, TaskLane,
     FORWARD_FAULT_SITE,
 };
-pub use model::{
-    quant_fault_site, ServableCheckpoint, ServableModel, INT8_PROBE_BUDGET, QUANT_FAULT_SITE,
-    SERVABLE_VERSION,
-};
-pub use octs_tensor::Precision;
+pub use model::{Engine, ServableCheckpoint, ServableModel, SERVABLE_VERSION};
 pub use registry::ModelRegistry;
 pub use server::ForecastServer;
 

@@ -5,29 +5,23 @@ use crate::ServeError;
 use octs_data::Adjacency;
 use octs_model::{Forecaster, FrozenForecaster, ModelDims};
 use octs_space::ArchHyper;
-use octs_tensor::{ParamStore, Precision, Tensor};
+use octs_tensor::{ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Envelope schema version of [`ServableCheckpoint`] payloads.
 pub const SERVABLE_VERSION: u32 = 1;
 
-/// Prefix of the per-task quantized-load-probe fault-injection site; the
-/// full name is task-qualified (see [`quant_fault_site`]).
-pub const QUANT_FAULT_SITE: &str = "serve.quant";
-
-/// The fault-injection site name of `task`'s int8 load probes, e.g.
-/// `serve.quant.metr`. The op ordinal is the checkpoint's registry version
-/// minus one (version 1 probes at ordinal 0), so a seeded chaos plan can
-/// poison the probe of one specific published version.
-pub fn quant_fault_site(task: &str) -> String {
-    format!("{QUANT_FAULT_SITE}.{task}")
+/// Which forward engine a served model runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// The autograd tape forward: the reference the frozen engine is
+    /// checked against, and the serving benchmark's baseline.
+    Tape,
+    /// Compiled tape-free plans (`octs_tensor::FrozenGraph`), bit-identical
+    /// to the tape forward.
+    #[default]
+    Frozen,
 }
-
-/// Normalized max-error budget the int8 load probe must meet: the largest
-/// `|int8 - reference| / max(1, max|reference|)` over the probe forecast.
-/// A checkpoint whose quantized engine exceeds it is served at
-/// [`Precision::Fused`] instead (never silently wrong forecasts).
-pub const INT8_PROBE_BUDGET: f32 = 5e-2;
 
 /// Everything needed to reconstruct a trained forecaster for serving: the
 /// winning arch-hyper, the shape contract, the task graph, and the trained
@@ -71,49 +65,36 @@ impl ServableCheckpoint {
 /// A checkpoint rebuilt into a live, validated, evaluation-mode model — the
 /// thing a [`crate::TaskLane`] worker owns and forwards through.
 ///
-/// The model wraps a [`FrozenForecaster`]: by default forwards replay
-/// compiled tape-free plans (see `octs_tensor::FrozenGraph`). A policy of
-/// `None` keeps the tape engine (the benchmark baseline); `Some(precision)`
-/// selects the frozen tier, with [`Precision::Int8`] gated by a load-time
-/// conformance probe that falls back to [`Precision::Fused`] when the
-/// quantized engine's error exceeds [`INT8_PROBE_BUDGET`].
+/// The model wraps a [`FrozenForecaster`]: under [`Engine::Frozen`] forwards
+/// replay compiled tape-free plans (see `octs_tensor::FrozenGraph`), under
+/// [`Engine::Tape`] they run the tape forward.
 pub struct ServableModel {
     /// Registry version this model was loaded from.
     pub version: u32,
     /// Task the model serves.
     pub task: String,
-    engine: FrozenForecaster,
-    frozen: bool,
+    model: FrozenForecaster,
+    engine: Engine,
 }
 
 impl ServableModel {
-    /// [`ServableModel::from_checkpoint_with`] at the default serving
-    /// policy, `Some(Precision::Fused)` — frozen plans, bit-identical to
-    /// the tape engine.
+    /// [`ServableModel::from_checkpoint_with`] on the default
+    /// [`Engine::Frozen`].
     pub fn from_checkpoint(ckpt: ServableCheckpoint) -> Result<Self, ServeError> {
-        Self::from_checkpoint_with(ckpt, Some(Precision::Fused))
+        Self::from_checkpoint_with(ckpt, Engine::default())
     }
 
-    /// Rebuilds and validates a model from a loaded checkpoint, serving at
-    /// the requested precision policy.
+    /// Rebuilds and validates a model from a loaded checkpoint, serving on
+    /// `engine`.
     ///
     /// Validation is the poisoned-model tripwire: every stored weight must be
-    /// finite and a probe forward on a fixed seeded input must produce a
-    /// finite forecast. A checkpoint that fails either check is rejected with
-    /// [`ServeError::Poisoned`] so the caller can keep serving the previous
-    /// version.
-    ///
-    /// With `Some(Precision::Int8)` the probe doubles as a conformance
-    /// check: the quantized engine's forecast is compared against the tape
-    /// reference, and a normalized max error over [`INT8_PROBE_BUDGET`]
-    /// demotes the model to [`Precision::Fused`] — counted and reported via
-    /// the `serve.precision_fallback` observability hooks, never served
-    /// silently wrong. The `octs_fault` site [`quant_fault_site`] can force
-    /// saturating activation quantization during the probe to exercise
-    /// exactly this path.
+    /// finite and a probe forward on a fixed seeded input, run on the engine
+    /// that will serve, must produce a finite forecast. A checkpoint that
+    /// fails either check is rejected with [`ServeError::Poisoned`] so the
+    /// caller can keep serving the previous version.
     pub fn from_checkpoint_with(
         ckpt: ServableCheckpoint,
-        policy: Option<Precision>,
+        engine: Engine,
     ) -> Result<Self, ServeError> {
         let ServableCheckpoint { task, version, ah, dims, adjacency, params, seed } = ckpt;
         if !params.all_finite() {
@@ -124,84 +105,15 @@ impl ServableModel {
             });
         }
         let fc = Forecaster::from_trained(ah, dims, &adjacency, params, seed);
-        let probe = probe_input(dims);
-        let poisoned = |detail: &str| ServeError::Poisoned {
-            task: task.clone(),
-            version,
-            detail: detail.to_string(),
-        };
-
-        let (engine, frozen) = match policy {
-            None => {
-                let mut engine = FrozenForecaster::new(fc, Precision::Fused);
-                if !engine.tape_predict(&probe).all_finite() {
-                    return Err(poisoned("probe forecast is non-finite"));
-                }
-                (engine, false)
-            }
-            Some(p @ (Precision::Full | Precision::Fused)) => {
-                let mut engine = FrozenForecaster::new(fc, p);
-                // Frozen Full/Fused plans are bit-identical to the tape, so
-                // the frozen probe is the finite check.
-                if !engine.predict(&probe).all_finite() {
-                    return Err(poisoned("probe forecast is non-finite"));
-                }
-                (engine, true)
-            }
-            Some(Precision::Int8) => {
-                let mut engine = FrozenForecaster::new(fc, Precision::Int8);
-                let reference = engine.tape_predict(&probe);
-                if !reference.all_finite() {
-                    return Err(poisoned("probe forecast is non-finite"));
-                }
-                let site = quant_fault_site(&task);
-                let inject =
-                    octs_fault::quant_overflow_at(&site, (version as u64).saturating_sub(1));
-                if inject {
-                    octs_tensor::ops::qgemm::set_saturation_injection(true);
-                }
-                let quant = engine.predict(&probe);
-                if inject {
-                    octs_tensor::ops::qgemm::set_saturation_injection(false);
-                }
-                let denom = reference.data().iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-                let err = if quant.all_finite() {
-                    quant
-                        .data()
-                        .iter()
-                        .zip(reference.data())
-                        .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()))
-                        / denom
-                } else {
-                    f32::INFINITY
-                };
-                if err <= INT8_PROBE_BUDGET {
-                    (engine, true)
-                } else {
-                    // Over budget: demote to the bit-exact Fused tier. The
-                    // tape reference already validated finite, and Fused
-                    // plans are bit-identical to it.
-                    octs_obs::counter("serve.precision_fallback", 1);
-                    octs_obs::event(
-                        "serve.precision_fallback",
-                        version as f64,
-                        &format!(
-                            "{task} v{version}: int8 probe error {err:.4} over budget \
-                             {INT8_PROBE_BUDGET}; serving Fused"
-                        ),
-                    );
-                    (FrozenForecaster::new(engine.into_inner(), Precision::Fused), true)
-                }
-            }
-        };
-        Ok(Self { version, task, engine, frozen })
-    }
-
-    /// The precision tier forwards run at: `None` when the model serves from
-    /// the tape engine, `Some(tier)` when it replays frozen plans. An int8
-    /// load whose probe exceeded budget reports `Some(Precision::Fused)`.
-    pub fn precision(&self) -> Option<Precision> {
-        self.frozen.then(|| self.engine.precision())
+        let mut model = Self { version, task, model: FrozenForecaster::new(fc), engine };
+        if !model.forward(&probe_input(dims)).all_finite() {
+            return Err(ServeError::Poisoned {
+                task: model.task,
+                version,
+                detail: "probe forecast is non-finite".to_string(),
+            });
+        }
+        Ok(model)
     }
 
     /// The `[F, N, P]` input shape every request must carry.
@@ -212,28 +124,33 @@ impl ServableModel {
 
     /// Shape contract of the served model.
     pub fn dims(&self) -> ModelDims {
-        self.engine.forecaster().dims
+        self.model.forecaster().dims
     }
 
     /// One batched eval-mode forward: stacks `inputs` (each `[F, N, P]`)
-    /// into `[B, F, N, P]`, runs a single forward — a compiled frozen plan,
-    /// or the pooled-GEMM tape under the `None` policy — and demuxes the
-    /// `[B, out_steps, N]` prediction back into per-request tensors.
+    /// into `[B, F, N, P]`, runs a single forward on the model's engine, and
+    /// demuxes the `[B, out_steps, N]` prediction back into per-request
+    /// tensors.
     ///
     /// Each returned row is bit-identical to the forecast a lone
     /// single-request forward would produce: every output element is a dot
-    /// product over one batch row, independent of `B` (per-row activation
-    /// scales keep this true for the int8 tier as well).
+    /// product over one batch row, independent of `B`.
     pub fn predict_batch(&mut self, inputs: &[&Tensor]) -> Vec<Tensor> {
-        let x = Tensor::stack(inputs);
-        let pred = if self.frozen { self.engine.predict(&x) } else { self.engine.tape_predict(&x) };
-        pred.unstack()
+        self.forward(&Tensor::stack(inputs)).unstack()
+    }
+
+    /// One forward of a `[B, F, N, P]` batch on the model's engine.
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        match self.engine {
+            Engine::Tape => self.model.tape_predict(x),
+            Engine::Frozen => self.model.predict(x),
+        }
     }
 }
 
 /// The fixed load-probe input: a seeded, sign-varying pattern (not zeros) so
-/// the int8 conformance comparison exercises real activation magnitudes.
-/// Deterministic across loads, platforms and thread counts.
+/// the probe exercises real activation magnitudes. Deterministic across
+/// loads, platforms and thread counts.
 fn probe_input(dims: ModelDims) -> Tensor {
     let len = dims.f * dims.n * dims.p;
     let mut state: u64 = 0x0C75_9B0B_E51D_2026;

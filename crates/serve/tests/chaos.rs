@@ -13,11 +13,11 @@
 //! sweep covers 3 seeds; `OCTS_CHAOS_WIDE=1` (nightly CI) widens it to 10.
 
 use octs_data::Adjacency;
-use octs_fault::{FaultPlan, FaultScope};
+use octs_fault::FaultScope;
 use octs_model::{Forecaster, ModelDims};
 use octs_serve::{
-    forward_fault_site, quant_fault_site, BatchPolicy, ForecastServer, ModelRegistry, Precision,
-    ServableCheckpoint, ServableModel, ServeError, ShedPolicy,
+    forward_fault_site, BatchPolicy, ForecastServer, ModelRegistry, ServableCheckpoint,
+    ServableModel, ServeError, ShedPolicy,
 };
 use octs_space::JointSpace;
 use octs_tensor::Tensor;
@@ -254,99 +254,6 @@ fn chaos_sweep_every_submit_resolves_typed_and_lanes_recover() {
     for seed in 0..seeds {
         chaos_run(0xC4A05 + seed);
     }
-}
-
-/// The quant-overflow half of the sweep: a seeded plan poisons the int8
-/// load probe of one published version, and the load must demote to the
-/// bit-exact `Fused` tier with exact typed accounting — one
-/// `serve.precision_fallback` count, forecasts byte-identical to a clean
-/// Fused load, and the one-shot fault consumed so the next load serves
-/// Int8 again. No silent wrong forecasts anywhere.
-#[test]
-fn quant_overflow_probe_trips_fused_fallback_with_exact_accounting() {
-    let task = "quantfb";
-    let dir = std::env::temp_dir().join(format!("octs_chaos_quant_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let reg = ModelRegistry::open(&dir).unwrap();
-    // A fixture wide enough to quantize: h=8 → i=16 puts the output head's
-    // weight over the int8 minimum-size threshold (tiny sampled models can
-    // fall entirely below it, making Int8 degenerate to Fused).
-    let version = {
-        use octs_space::{ArchDag, ArchHyper, HyperParams};
-        let arch = ArchDag::sample_admissible(3, &mut ChaCha8Rng::seed_from_u64(7));
-        let hp = HyperParams { b: 1, c: 3, h: 8, i: 16, u: 0, delta: 0 };
-        let adj = Adjacency::identity(N);
-        let mut fc = Forecaster::new(ArchHyper::new(arch, hp), dims(), &adj, 3);
-        fc.training = false;
-        fc.predict(&Tensor::zeros([1, F, N, P]));
-        let mut ckpt = ServableCheckpoint::new(task, &fc, &adj, 3);
-        reg.publish(&mut ckpt).unwrap()
-    };
-    assert_eq!(version, 1);
-
-    // Control: a clean Int8 load meets the probe budget and serves Int8 —
-    // the fallback below is caused by the injected overflow, not the model.
-    let mut clean =
-        ServableModel::from_checkpoint_with(reg.load_latest(task).unwrap(), Some(Precision::Int8))
-            .unwrap();
-    assert_eq!(clean.precision(), Some(Precision::Int8), "clean int8 probe must pass");
-    let int8_forecast = clean.predict_batch(&[&probe_input(0)]).remove(0);
-
-    // Fused reference the fallback must match bit-for-bit.
-    let mut fused =
-        ServableModel::from_checkpoint_with(reg.load_latest(task).unwrap(), Some(Precision::Fused))
-            .unwrap();
-    let want = fused.predict_batch(&[&probe_input(0)]).remove(0);
-    assert!(
-        int8_forecast.data() != want.data(),
-        "fixture must actually quantize (int8 and fused forecasts differ)"
-    );
-
-    // Seeded plan over the task's probe site: the only in-range ordinal is
-    // version - 1 = 0, so the drawn overflow hits exactly this version.
-    let site = quant_fault_site(task);
-    let plan = FaultPlan::seeded(0x0C75, 8, 0, 0, &[], &[(site.as_str(), version as u64)]);
-    assert!(
-        plan.quant_overflows.contains(&(site.clone(), (version - 1) as u64)),
-        "seeded plan must schedule the probe overflow"
-    );
-
-    let rec = octs_obs::Recorder::new();
-    let _obs = octs_obs::ObsScope::activate(&rec);
-    {
-        let _chaos = FaultScope::activate(plan);
-        let mut demoted = ServableModel::from_checkpoint_with(
-            reg.load_latest(task).unwrap(),
-            Some(Precision::Int8),
-        )
-        .expect("an over-budget probe demotes, it does not poison the load");
-        assert_eq!(
-            demoted.precision(),
-            Some(Precision::Fused),
-            "saturating probe must trip the Fused fallback"
-        );
-        let got = demoted.predict_batch(&[&probe_input(0)]).remove(0);
-        assert_eq!(
-            got.data(),
-            want.data(),
-            "fallback forecasts must be byte-identical to a clean Fused load"
-        );
-
-        // One-shot: the overflow was consumed by the demoted load, so a
-        // reload probes clean and serves Int8 again.
-        let mut healed = ServableModel::from_checkpoint_with(
-            reg.load_latest(task).unwrap(),
-            Some(Precision::Int8),
-        )
-        .unwrap();
-        assert_eq!(healed.precision(), Some(Precision::Int8), "fault consumed: int8 again");
-        assert_eq!(healed.predict_batch(&[&probe_input(0)]).remove(0).data(), int8_forecast.data());
-    }
-    drop(_obs);
-
-    let s = rec.summary();
-    assert_eq!(s.counter("serve.precision_fallback"), 1, "exactly one typed fallback");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The generated serving plans replay from their seed: same seed → same

@@ -1,18 +1,17 @@
 //! Golden fixture for the frozen serving path: a fixed-seed checkpoint
-//! published to a registry, loaded at every precision policy, and forecast
-//! on a fixed probe — snapshotted bit-for-bit to
+//! published to a registry, loaded on each serving engine, and forecast on
+//! a fixed probe — snapshotted bit-for-bit to
 //! `tests/golden/frozen_serving.json`.
 //!
-//! The fixture pins, per tier: the effective precision after the load-time
-//! conformance probe, whether the probe demoted the policy, and the exact
-//! forecast bytes. Any change to freezing, fusion, quantization, the probe
-//! budget, or the registry load path shows up as a structural diff naming
-//! the drifted field. Regenerate deliberately with `UPDATE_GOLDEN=1 cargo
-//! test -p octs-serve --test frozen_golden` and commit the fixture diff.
+//! The fixture pins the exact forecast bytes of the tape and the frozen
+//! engine, which must be equal. Any change to freezing or the registry load
+//! path shows up as a structural diff naming the drifted field. Regenerate
+//! deliberately with `UPDATE_GOLDEN=1 cargo test -p octs-serve --test
+//! frozen_golden` and commit the fixture diff.
 
 use octs_data::Adjacency;
 use octs_model::{Forecaster, ModelDims};
-use octs_serve::{ModelRegistry, Precision, ServableCheckpoint, ServableModel, INT8_PROBE_BUDGET};
+use octs_serve::{Engine, ModelRegistry, ServableCheckpoint, ServableModel};
 use octs_space::{ArchDag, ArchHyper, HyperParams};
 use octs_tensor::Tensor;
 use octs_testkit::golden::check_against_fixture;
@@ -26,20 +25,16 @@ const F: usize = 2;
 const P: usize = 12;
 const WEIGHT_SEED: u64 = 3;
 
-/// One precision tier's end-to-end outcome on the golden checkpoint.
+/// One engine's end-to-end outcome on the golden checkpoint.
 #[derive(Serialize)]
-struct TierSnapshot {
-    /// Requested [`BatchPolicy::precision`] policy (`"tape"` for `None`).
-    policy: String,
-    /// Effective precision after the load-time probe.
-    effective: String,
-    /// Whether the probe demoted the policy (int8 over budget).
-    fell_back: bool,
+struct EngineSnapshot {
+    /// The [`Engine`] the checkpoint was loaded on.
+    engine: String,
     /// `f32::to_bits` of the forecast on the fixed probe input.
     forecast_bits: Vec<u64>,
 }
 
-/// The committed snapshot: registry-load → frozen-forward per tier.
+/// The committed snapshot: registry-load → forward per engine.
 #[derive(Serialize)]
 struct FrozenServingRun {
     /// Bump when the snapshot layout changes (forces regeneration).
@@ -48,19 +43,16 @@ struct FrozenServingRun {
     version: u64,
     /// Weight seed of the fixture forecaster.
     weight_seed: u64,
-    /// Per-policy outcomes, in `[tape, full, fused, int8]` order.
-    tiers: Vec<TierSnapshot>,
-    /// `f32::to_bits` of the worst int8-vs-tape deviation, normalized the
-    /// same way as the load-time probe.
-    int8_max_err_bits: u64,
+    /// Per-engine outcomes, in `[tape, frozen]` order.
+    engines: Vec<EngineSnapshot>,
 }
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-/// The same quantizing shape as the chaos quant fixture: `h = 8`, `i = 16`
-/// puts the output head's weight over the int8 minimum-size threshold.
+/// A fixture with `h = 8`, `i = 16`: wide enough that every ST-block op and
+/// the output head run real matmuls.
 fn publish_fixture(reg: &ModelRegistry, task: &str) -> u32 {
     let arch = ArchDag::sample_admissible(3, &mut ChaCha8Rng::seed_from_u64(7));
     let hp = HyperParams { b: 1, c: 3, h: 8, i: 16, u: 0, delta: 0 };
@@ -84,15 +76,6 @@ fn probe_input() -> Tensor {
     Tensor::new([F, N, P], data)
 }
 
-fn tier_name(p: Option<Precision>) -> String {
-    match p {
-        None => "tape".to_string(),
-        Some(Precision::Full) => "full".to_string(),
-        Some(Precision::Fused) => "fused".to_string(),
-        Some(Precision::Int8) => "int8".to_string(),
-    }
-}
-
 fn capture() -> FrozenServingRun {
     let dir = std::env::temp_dir().join(format!("octs_frozen_golden_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -100,33 +83,25 @@ fn capture() -> FrozenServingRun {
     let version = publish_fixture(&reg, "golden");
     let x = probe_input();
 
-    let mut tiers = Vec::new();
-    let mut forecasts = Vec::new();
-    for policy in [None, Some(Precision::Full), Some(Precision::Fused), Some(Precision::Int8)] {
-        let mut m = ServableModel::from_checkpoint_with(reg.load_latest("golden").unwrap(), policy)
-            .unwrap();
-        let forecast = m.predict_batch(&[&x]).remove(0);
-        tiers.push(TierSnapshot {
-            policy: tier_name(policy),
-            effective: tier_name(m.precision()),
-            fell_back: policy.is_some() && m.precision() != policy,
-            forecast_bits: forecast.data().iter().map(|v| v.to_bits() as u64).collect(),
-        });
-        forecasts.push(forecast);
-    }
+    let engines = [(Engine::Tape, "tape"), (Engine::Frozen, "frozen")]
+        .into_iter()
+        .map(|(engine, name)| {
+            let ckpt = reg.load_latest("golden").unwrap();
+            let mut m = ServableModel::from_checkpoint_with(ckpt, engine).unwrap();
+            let forecast = m.predict_batch(&[&x]).remove(0);
+            EngineSnapshot {
+                engine: name.to_string(),
+                forecast_bits: forecast.data().iter().map(|v| v.to_bits() as u64).collect(),
+            }
+        })
+        .collect();
     std::fs::remove_dir_all(&dir).ok();
 
-    let tape = forecasts[0].data().to_vec();
-    let int8 = forecasts[3].data();
-    let scale = tape.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-    let int8_err = int8.iter().zip(&tape).fold(0.0f32, |m, (a, b)| m.max((a - b).abs())) / scale;
-
     FrozenServingRun {
-        schema_version: 1,
+        schema_version: 2,
         version: version as u64,
         weight_seed: WEIGHT_SEED,
-        tiers,
-        int8_max_err_bits: int8_err.to_bits() as u64,
+        engines,
     }
 }
 
@@ -134,24 +109,9 @@ fn capture() -> FrozenServingRun {
 fn frozen_serving_matches_golden_fixture() {
     let run = capture();
 
-    // Structural invariants the snapshot must satisfy regardless of the
-    // committed bytes: full and fused tiers are byte-identical to the tape,
-    // int8 serves without demotion and stays within the probe budget.
-    assert_eq!(run.tiers[1].forecast_bits, run.tiers[0].forecast_bits, "full != tape");
-    assert_eq!(run.tiers[2].forecast_bits, run.tiers[0].forecast_bits, "fused != tape");
-    for t in &run.tiers {
-        assert_eq!(t.effective, t.policy, "clean loads must not demote ({})", t.policy);
-        assert!(!t.fell_back, "clean loads must not fall back ({})", t.policy);
-    }
-    assert_ne!(
-        run.tiers[3].forecast_bits, run.tiers[0].forecast_bits,
-        "the golden fixture must actually quantize"
-    );
-    let int8_err = f32::from_bits(run.int8_max_err_bits as u32);
-    assert!(
-        int8_err <= INT8_PROBE_BUDGET,
-        "int8 golden forecast deviates {int8_err:.3e}, over the probe budget {INT8_PROBE_BUDGET:.1e}"
-    );
+    // Whatever the committed bytes, the frozen engine is byte-identical to
+    // the tape.
+    assert_eq!(run.engines[1].forecast_bits, run.engines[0].forecast_bits, "frozen != tape");
 
     if let Err(diff) = check_against_fixture(&fixture("frozen_serving.json"), &run) {
         panic!("{diff}");

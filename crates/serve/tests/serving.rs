@@ -5,14 +5,15 @@ use octs_data::Adjacency;
 use octs_fault::{FaultPlan, FaultScope};
 use octs_model::{Forecaster, ModelDims};
 use octs_serve::{
-    BatchPolicy, ForecastServer, ModelRegistry, ServableCheckpoint, ServableModel, ServeError,
+    BatchPolicy, Engine, ForecastServer, ModelRegistry, ServableCheckpoint, ServableModel,
+    ServeError,
 };
 use octs_space::JointSpace;
 use octs_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 const N: usize = 4;
@@ -21,6 +22,20 @@ const P: usize = 12;
 
 fn dims() -> ModelDims {
     ModelDims { n: N, f: F, p: P, out_steps: 3 }
+}
+
+/// The obs recorder and the fault plan are process-wide, so a test that
+/// attaches either would also count or fault the requests of tests running
+/// beside it. Such tests hold this lock exclusively; every other test holds
+/// it shared.
+static SCOPES: RwLock<()> = RwLock::new(());
+
+fn shared_scope() -> RwLockReadGuard<'static, ()> {
+    SCOPES.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive_scope() -> RwLockWriteGuard<'static, ()> {
+    SCOPES.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A forecaster with materialized (randomly initialized) weights — training
@@ -69,6 +84,7 @@ fn expected_for(reg: &ModelRegistry, task: &str, version: u32, input: &Tensor) -
 
 #[test]
 fn registry_publish_load_roundtrip() {
+    let _serial = shared_scope();
     let reg = tmp_registry("roundtrip");
     assert!(reg.versions("metr").is_empty());
     assert_eq!(publish(&reg, "metr", 1), 1);
@@ -91,6 +107,7 @@ fn registry_publish_load_roundtrip() {
 
 #[test]
 fn corrupt_checkpoint_is_rejected_typed() {
+    let _serial = shared_scope();
     let reg = tmp_registry("corrupt");
     publish(&reg, "t", 1);
     let path = reg.root().join("t").join("v00001.ckpt");
@@ -107,6 +124,7 @@ fn corrupt_checkpoint_is_rejected_typed() {
 
 #[test]
 fn poisoned_checkpoint_is_rejected() {
+    let _serial = shared_scope();
     let (fc, adj) = fixture_forecaster(1);
     let name = fc.ps.names().into_iter().next().unwrap();
     let shape = fc.ps.get(&name).unwrap().shape().to_vec();
@@ -119,8 +137,32 @@ fn poisoned_checkpoint_is_rejected() {
     }
 }
 
+/// Finite weights whose forward overflows pass the parameter check, so the
+/// load-time probe forward is what must reject them — on either engine.
+#[test]
+fn overflowing_checkpoint_fails_the_probe_on_both_engines() {
+    let _serial = shared_scope();
+    for engine in [Engine::Tape, Engine::Frozen] {
+        let (fc, adj) = fixture_forecaster(1);
+        let mut ckpt = ServableCheckpoint::new("t", &fc, &adj, 1);
+        ckpt.version = 1;
+        for name in ckpt.params.names() {
+            let scaled = ckpt.params.get(&name).unwrap().map(|v| v * 1e30);
+            ckpt.params.set(&name, scaled);
+        }
+        assert!(ckpt.params.all_finite(), "the weights themselves stay finite");
+        match ServableModel::from_checkpoint_with(ckpt, engine) {
+            Err(ServeError::Poisoned { version: 1, detail, .. }) => {
+                assert_eq!(detail, "probe forecast is non-finite", "{engine:?}");
+            }
+            other => panic!("{engine:?}: want Poisoned, got {:?}", other.err()),
+        }
+    }
+}
+
 #[test]
 fn batched_rows_match_single_request_forwards_bitwise() {
+    let _serial = shared_scope();
     let reg = tmp_registry("bitwise");
     publish(&reg, "t", 1);
     let mut m = ServableModel::from_checkpoint(reg.load("t", 1).unwrap()).unwrap();
@@ -136,8 +178,33 @@ fn batched_rows_match_single_request_forwards_bitwise() {
     std::fs::remove_dir_all(reg.root()).ok();
 }
 
+/// The two engines are interchangeable: the default engine is the frozen
+/// one, and it serves every batch row bit-identically to the tape engine.
+#[test]
+fn frozen_engine_is_default_and_serves_tape_identical_rows() {
+    let _serial = shared_scope();
+    assert_eq!(Engine::default(), Engine::Frozen);
+    let reg = tmp_registry("engines");
+    publish(&reg, "t", 2);
+    let mut tape =
+        ServableModel::from_checkpoint_with(reg.load("t", 1).unwrap(), Engine::Tape).unwrap();
+    let mut frozen = ServableModel::from_checkpoint(reg.load("t", 1).unwrap()).unwrap();
+
+    let inputs: Vec<Tensor> = (0..4).map(probe_input).collect();
+    for b in 1..=inputs.len() {
+        let refs: Vec<&Tensor> = inputs[..b].iter().collect();
+        let want = tape.predict_batch(&refs);
+        let got = frozen.predict_batch(&refs);
+        for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.data(), w.data(), "B={b} row {row}: frozen diverges from tape");
+        }
+    }
+    std::fs::remove_dir_all(reg.root()).ok();
+}
+
 #[test]
 fn concurrent_submits_are_batched_and_correct() {
+    let _serial = exclusive_scope();
     let reg = tmp_registry("concurrent");
     publish(&reg, "t", 1);
     let expected: Vec<Tensor> =
@@ -191,6 +258,7 @@ fn concurrent_submits_are_batched_and_correct() {
 /// phase observes.
 #[test]
 fn hot_swap_under_concurrent_load_has_no_torn_reads() {
+    let _serial = shared_scope();
     const CLIENTS: u64 = 6;
     const PER_PHASE: usize = 4;
 
@@ -268,6 +336,7 @@ fn hot_swap_under_concurrent_load_has_no_torn_reads() {
 
 #[test]
 fn failed_reload_degrades_gracefully_to_current_version() {
+    let _serial = exclusive_scope();
     let reg = tmp_registry("degrade");
     publish(&reg, "t", 1);
     // Compute the expectation through a separate registry handle so the
@@ -307,6 +376,7 @@ fn failed_reload_degrades_gracefully_to_current_version() {
 
 #[test]
 fn poisoned_reload_keeps_previous_version_serving() {
+    let _serial = shared_scope();
     let reg = tmp_registry("poison");
     publish(&reg, "t", 1);
     let server = ForecastServer::new(reg, BatchPolicy::default());
@@ -331,6 +401,7 @@ fn poisoned_reload_keeps_previous_version_serving() {
 
 #[test]
 fn slow_checkpoint_load_is_injectable() {
+    let _serial = exclusive_scope();
     let reg = tmp_registry("slow");
     publish(&reg, "t", 1);
     let plan = FaultPlan::new().slow_io("registry.load", 0, 40);
@@ -345,6 +416,7 @@ fn slow_checkpoint_load_is_injectable() {
 
 #[test]
 fn shape_mismatch_is_rejected_per_request() {
+    let _serial = shared_scope();
     let reg = tmp_registry("shape");
     publish(&reg, "t", 1);
     let server = ForecastServer::new(reg, BatchPolicy::default());
@@ -363,6 +435,7 @@ fn shape_mismatch_is_rejected_per_request() {
 
 #[test]
 fn unknown_task_and_empty_registry_are_typed_errors() {
+    let _serial = shared_scope();
     let reg = tmp_registry("unknown");
     let server = ForecastServer::new(reg, BatchPolicy::default());
     match server.serve_task("nope") {
@@ -378,6 +451,7 @@ fn unknown_task_and_empty_registry_are_typed_errors() {
 
 #[test]
 fn shutdown_drains_pending_requests() {
+    let _serial = shared_scope();
     let reg = tmp_registry("drain");
     publish(&reg, "t", 1);
     let server = ForecastServer::new(reg, BatchPolicy::default());
@@ -394,6 +468,7 @@ fn shutdown_drains_pending_requests() {
 
 #[test]
 fn unbatched_policy_never_coalesces() {
+    let _serial = exclusive_scope();
     let reg = tmp_registry("unbatched");
     publish(&reg, "t", 1);
     let rec = octs_obs::Recorder::new();

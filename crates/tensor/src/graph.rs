@@ -229,12 +229,7 @@ impl Graph {
     /// # Panics
     /// Panics if `input` or `output` belong to another graph, or if the tape
     /// contains a loss op.
-    pub fn freeze(
-        &self,
-        input: &Var,
-        output: &Var,
-        precision: crate::infer::Precision,
-    ) -> crate::infer::FrozenGraph {
+    pub fn freeze(&self, input: &Var, output: &Var) -> crate::infer::FrozenGraph {
         use crate::infer::{Act, FrozenOp};
         assert!(Rc::ptr_eq(&self.tape, &input.graph.tape), "input from another graph");
         assert!(Rc::ptr_eq(&self.tape, &output.graph.tape), "output from another graph");
@@ -291,7 +286,6 @@ impl Graph {
                     l: *l,
                     k: *k,
                     dilation: *dilation,
-                    act: None,
                 },
                 Op::Reshape(x) => FrozenOp::Reshape { x: *x, shape: node.value.shape().to_vec() },
                 Op::Permute { x, axes } => FrozenOp::Permute { x: *x, axes: axes.clone() },
@@ -311,7 +305,7 @@ impl Graph {
             })
             .collect();
         let input_shape = tape.nodes[input.id].value.shape().to_vec();
-        crate::infer::FrozenGraph::compile(steps, input.id, output.id, input_shape, precision)
+        crate::infer::FrozenGraph::compile(steps, input.id, output.id, input_shape)
     }
 }
 

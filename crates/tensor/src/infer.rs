@@ -2,45 +2,22 @@
 //!
 //! [`crate::Graph::freeze`] compiles one recorded forward pass into a
 //! [`FrozenGraph`]: a topologically ordered op list with every parameter
-//! baked in as a constant, dead tape nodes eliminated, and — depending on
-//! the [`Precision`] policy — activation epilogues fused into their
-//! producers and eligible weight matmuls replaced by the int8 kernel from
-//! [`crate::ops::qgemm`].
+//! baked in as a constant and dead tape nodes eliminated. Each step runs
+//! the same kernel the tape ran, on the same operands, so the replay is
+//! **byte-identical** to the tape forward (the frozen-conformance sweep and
+//! a property test in octs-testkit pin this).
 //!
 //! The frozen replay pays none of the tape's per-op costs (node pushes,
 //! `Rc<RefCell>` traffic, `Var::value()` clones, gradient bookkeeping):
 //! intermediate values live in a flat slot vector whose tensors are dropped
 //! at their last use, so their pooled buffers recycle within a single run
 //! and serving steady state allocates nothing.
-//!
-//! Precision tiers:
-//! - [`Precision::Full`] — unfused replay, **byte-identical** to the tape
-//!   forward (a property test in octs-testkit pins this).
-//! - [`Precision::Fused`] — conv/add/add-bias → activation fusion. Still
-//!   byte-identical: the same elementwise function is applied to the same
-//!   rounded intermediate, just without materializing it.
-//! - [`Precision::Int8`] — additionally runs large constant-weight matmuls
-//!   through per-row-quantized int8 GEMM. Lossy by design; gated by the
-//!   tolerance-budget conformance sweep and the serving load-time probe.
 
 use crate::ops::matmul::{bmm_forward, BatchKind};
-use crate::ops::qgemm::{qgemm, QuantizedRhs, QUANT_MIN_ELEMS};
 use crate::ops::{conv, elementwise as ew, norm, reduce, shapeops, softmax};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
-/// Execution policy for a frozen model, ordered by aggressiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Precision {
-    /// Unfused f32 replay, byte-identical to the tape forward.
-    Full,
-    /// f32 replay with activation-epilogue fusion (still byte-identical).
-    Fused,
-    /// Fusion plus int8 dynamic quantization of large weight matmuls.
-    Int8,
-}
-
-/// An activation function fused or replayed by the frozen graph.
+/// An activation function replayed by the frozen graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Act {
     /// `max(x, 0)`.
@@ -81,7 +58,7 @@ impl Act {
 /// One step of a frozen graph. Operand `usize`s index earlier steps.
 #[derive(Debug, Clone)]
 pub enum FrozenOp {
-    /// Eliminated step (dead code, or absorbed by fusion/quantization).
+    /// Eliminated step (dead code).
     Nop,
     /// The single runtime argument.
     Input,
@@ -137,40 +114,11 @@ pub enum FrozenOp {
         /// Output shape.
         out_shape: Vec<usize>,
     },
-    /// Int8-quantized matmul against a freeze-time packed weight.
-    MatmulQuant {
-        /// LHS (activation) step.
-        a: usize,
-        /// Packed, quantized weight.
-        w: QuantizedRhs,
-        /// Total activation rows (`batch * m`).
-        rows: usize,
-        /// Output shape.
-        out_shape: Vec<usize>,
-    },
     /// Elementwise activation.
     Unary {
         /// Input step.
         x: usize,
         /// The activation.
-        act: Act,
-    },
-    /// Fused `act(a + b)`.
-    AddAct {
-        /// LHS step.
-        a: usize,
-        /// RHS step.
-        b: usize,
-        /// Fused epilogue activation.
-        act: Act,
-    },
-    /// Fused `act(x + bias)`.
-    AddBiasAct {
-        /// Input step.
-        x: usize,
-        /// Bias step (rank-1).
-        bias: usize,
-        /// Fused epilogue activation.
         act: Act,
     },
     /// Softmax over the trailing dimension.
@@ -193,7 +141,7 @@ pub enum FrozenOp {
         /// Variance epsilon.
         eps: f32,
     },
-    /// Causal dilated 1-D convolution, optionally with a fused epilogue.
+    /// Causal dilated 1-D convolution.
     Conv1d {
         /// Input step (`[B, C_in, L]`).
         x: usize,
@@ -213,8 +161,6 @@ pub enum FrozenOp {
         k: usize,
         /// Dilation factor.
         dilation: usize,
-        /// Fused epilogue activation, if any.
-        act: Option<Act>,
     },
     /// Reshape to a fixed shape.
     Reshape {
@@ -289,10 +235,8 @@ fn operands(op: &FrozenOp, out: &mut Vec<usize>) {
         | FrozenOp::Sub(a, b)
         | FrozenOp::Mul(a, b)
         | FrozenOp::Div(a, b)
-        | FrozenOp::AddAct { a, b, .. } => out.extend([*a, *b]),
-        FrozenOp::AddBias { x, bias } | FrozenOp::AddBiasAct { x, bias, .. } => {
-            out.extend([*x, *bias]);
-        }
+        | FrozenOp::Matmul { a, b, .. } => out.extend([*a, *b]),
+        FrozenOp::AddBias { x, bias } => out.extend([*x, *bias]),
         FrozenOp::AddScalar { x, .. }
         | FrozenOp::MulScalar { x, .. }
         | FrozenOp::Neg(x)
@@ -306,9 +250,7 @@ fn operands(op: &FrozenOp, out: &mut Vec<usize>) {
         | FrozenOp::SumAxis { x, .. }
         | FrozenOp::MeanAxis { x, .. }
         | FrozenOp::MulConst { x, .. }
-        | FrozenOp::GatherRows { x, .. }
-        | FrozenOp::MatmulQuant { a: x, .. } => out.push(*x),
-        FrozenOp::Matmul { a, b, .. } => out.extend([*a, *b]),
+        | FrozenOp::GatherRows { x, .. } => out.push(*x),
         FrozenOp::LayerNorm { x, gamma, beta, .. } => out.extend([*x, *gamma, *beta]),
         FrozenOp::Conv1d { x, w, bias, .. } => {
             out.extend([*x, *w]);
@@ -327,22 +269,17 @@ pub struct FrozenGraph {
     frees: Vec<Vec<usize>>,
     output: usize,
     input_shape: Vec<usize>,
-    precision: Precision,
-    fused_ops: usize,
-    quantized_matmuls: usize,
 }
 
 impl FrozenGraph {
     /// Compiles a raw step list (one entry per tape node) into an executable
-    /// frozen graph: dead-code elimination, activation fusion (at
-    /// [`Precision::Fused`] and above), int8 weight quantization (at
-    /// [`Precision::Int8`]), and last-use free lists for slot recycling.
+    /// frozen graph: dead-code elimination and last-use free lists for slot
+    /// recycling.
     pub fn compile(
         mut steps: Vec<FrozenOp>,
         input: usize,
         output: usize,
         input_shape: Vec<usize>,
-        precision: Precision,
     ) -> Self {
         let n = steps.len();
         assert!(output < n, "output id out of range");
@@ -367,94 +304,6 @@ impl FrozenGraph {
             }
         }
 
-        let mut consumers = vec![0usize; n];
-        for step in &steps {
-            ops.clear();
-            operands(step, &mut ops);
-            for &id in &ops {
-                consumers[id] += 1;
-            }
-        }
-
-        // Activation fusion: a Unary whose sole consumer relationship is
-        // "this activation reads that producer" collapses into the producer's
-        // epilogue. The producer slot becomes a Nop and the fused op takes
-        // the activation's position, so operand indices stay topological.
-        let mut fused_ops = 0usize;
-        if precision != Precision::Full {
-            for i in 0..n {
-                let &FrozenOp::Unary { x, act } = &steps[i] else { continue };
-                if consumers[x] != 1 || x == output {
-                    continue;
-                }
-                let fused = match &steps[x] {
-                    FrozenOp::Conv1d { act: None, x, w, bias, b, c_in, c_out, l, k, dilation } => {
-                        Some(FrozenOp::Conv1d {
-                            x: *x,
-                            w: *w,
-                            bias: *bias,
-                            b: *b,
-                            c_in: *c_in,
-                            c_out: *c_out,
-                            l: *l,
-                            k: *k,
-                            dilation: *dilation,
-                            act: Some(act),
-                        })
-                    }
-                    FrozenOp::Add(a, b) => Some(FrozenOp::AddAct { a: *a, b: *b, act }),
-                    FrozenOp::AddBias { x, bias } => {
-                        Some(FrozenOp::AddBiasAct { x: *x, bias: *bias, act })
-                    }
-                    _ => None,
-                };
-                if let Some(fused) = fused {
-                    ops.clear();
-                    operands(&steps[x], &mut ops);
-                    steps[x] = FrozenOp::Nop;
-                    steps[i] = fused;
-                    consumers[x] = 0;
-                    fused_ops += 1;
-                }
-            }
-        }
-
-        // Int8 quantization: matmuls against a large constant rank-2 RHS
-        // (the weight side) swap to the packed int8 kernel; the f32 weight
-        // constant is dropped when nothing else reads it.
-        let mut quantized_matmuls = 0usize;
-        if precision == Precision::Int8 {
-            for i in 0..n {
-                let (a, b, kind, batch, m, k, cols, out_shape) = match &steps[i] {
-                    FrozenOp::Matmul { a, b, kind, batch, m, k, n, out_shape } => {
-                        (*a, *b, *kind, *batch, *m, *k, *n, out_shape.clone())
-                    }
-                    _ => continue,
-                };
-                let one_gemm = matches!(kind, BatchKind::BroadcastRhs)
-                    || (matches!(kind, BatchKind::Matched) && batch == 1);
-                if !one_gemm || k * cols < QUANT_MIN_ELEMS {
-                    continue;
-                }
-                let FrozenOp::Const(w) = &steps[b] else { continue };
-                if w.rank() != 2 {
-                    continue;
-                }
-                let quant = FrozenOp::MatmulQuant {
-                    a,
-                    w: QuantizedRhs::quantize(w.data(), k, cols),
-                    rows: batch * m,
-                    out_shape,
-                };
-                steps[i] = quant;
-                consumers[b] -= 1;
-                if consumers[b] == 0 && b != output {
-                    steps[b] = FrozenOp::Nop;
-                }
-                quantized_matmuls += 1;
-            }
-        }
-
         // Last-use free lists: a slot's tensor drops (returning its buffer
         // to the thread-local pool) right after the last step that reads it.
         let mut last_use = vec![usize::MAX; n];
@@ -473,27 +322,12 @@ impl FrozenGraph {
             }
         }
 
-        Self { steps, frees, output, input_shape, precision, fused_ops, quantized_matmuls }
-    }
-
-    /// The precision tier this graph was compiled at.
-    pub fn precision(&self) -> Precision {
-        self.precision
+        Self { steps, frees, output, input_shape }
     }
 
     /// The input shape this graph is specialized to.
     pub fn input_shape(&self) -> &[usize] {
         &self.input_shape
-    }
-
-    /// Number of activation epilogues fused into their producers.
-    pub fn fused_ops(&self) -> usize {
-        self.fused_ops
-    }
-
-    /// Number of matmuls running on the int8 kernel.
-    pub fn quantized_matmuls(&self) -> usize {
-        self.quantized_matmuls
     }
 
     /// Number of executable (non-`Nop`, non-leaf) steps.
@@ -583,10 +417,6 @@ impl FrozenGraph {
             FrozenOp::Sub(a, b) => peek!(*a).zip(peek!(*b), |x, y| x - y),
             FrozenOp::Mul(a, b) => peek!(*a).zip(peek!(*b), |x, y| x * y),
             FrozenOp::Div(a, b) => peek!(*a).zip(peek!(*b), |x, y| x / y),
-            FrozenOp::AddAct { a, b, act } => {
-                let act = *act;
-                peek!(*a).zip(peek!(*b), move |x, y| act.apply(x + y))
-            }
             FrozenOp::AddBias { x, bias } => {
                 let bv = val(slots, *bias);
                 let mut out = owned(slots, *x, &self.frees[i]);
@@ -594,17 +424,6 @@ impl FrozenGraph {
                 for chunk in out.data_mut().chunks_exact_mut(d) {
                     for (c, &b) in chunk.iter_mut().zip(bv.data()) {
                         *c += b;
-                    }
-                }
-                out
-            }
-            FrozenOp::AddBiasAct { x, bias, act } => {
-                let bv = val(slots, *bias);
-                let mut out = owned(slots, *x, &self.frees[i]);
-                let d = bv.len();
-                for chunk in out.data_mut().chunks_exact_mut(d) {
-                    for (c, &b) in chunk.iter_mut().zip(bv.data()) {
-                        *c = act.apply(*c + b);
                     }
                 }
                 out
@@ -646,11 +465,6 @@ impl FrozenGraph {
                 );
                 out
             }
-            FrozenOp::MatmulQuant { a, w, rows, out_shape } => {
-                let mut out = Tensor::zeros(out_shape.clone());
-                qgemm(peek!(*a).data(), *rows, w, out.data_mut());
-                out
-            }
             FrozenOp::Unary { x, act } => {
                 let act = *act;
                 let mut out = owned(slots, *x, &self.frees[i]);
@@ -680,7 +494,7 @@ impl FrozenGraph {
                 );
                 out
             }
-            FrozenOp::Conv1d { x, w, bias, b, c_in, c_out, l, k, dilation, act } => {
+            FrozenOp::Conv1d { x, w, bias, b, c_in, c_out, l, k, dilation } => {
                 let mut out = Tensor::zeros([*b, *c_out, *l]);
                 let bias_t = bias.map(|id| val(slots, id));
                 conv::conv1d_forward(
@@ -695,11 +509,6 @@ impl FrozenGraph {
                     *k,
                     *dilation,
                 );
-                if let Some(act) = act {
-                    for v in out.data_mut() {
-                        *v = act.apply(*v);
-                    }
-                }
                 out
             }
             FrozenOp::Reshape { x, shape } => {
@@ -740,7 +549,7 @@ impl FrozenGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
+    use crate::graph::{Graph, Var};
 
     fn seeded(shape: &[usize], seed: u64) -> Tensor {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -772,79 +581,26 @@ mod tests {
     }
 
     #[test]
-    fn full_freeze_is_byte_identical_to_tape() {
+    fn freeze_is_byte_identical_to_tape() {
         let x = seeded(&[5, 6], 1);
         let g = Graph::new();
         let xin = g.constant(x.clone());
         let y = build(&g, &xin);
-        let frozen = g.freeze(&xin, &y, Precision::Full);
+        let frozen = g.freeze(&xin, &y);
         assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
     }
 
     #[test]
-    fn fused_freeze_is_byte_identical_and_fuses() {
-        let x = seeded(&[5, 6], 1);
-        let g = Graph::new();
-        let xin = g.constant(x.clone());
-        let y = build(&g, &xin);
-        let frozen = g.freeze(&xin, &y, Precision::Fused);
-        assert!(frozen.fused_ops() > 0, "expected at least one fused epilogue");
-        assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
-    }
-
-    #[test]
-    fn conv_epilogue_fuses_and_stays_identical() {
-        let x = seeded(&[2, 3, 7], 6);
-        let g = Graph::new();
-        let xin = g.constant(x.clone());
-        let w = g.constant(seeded(&[4, 3, 2], 7));
-        let b = g.constant(seeded(&[4], 8));
-        let y = xin.conv1d(&w, Some(&b), 2).tanh().mean_all();
-        let frozen = g.freeze(&xin, &y, Precision::Fused);
-        assert_eq!(frozen.fused_ops(), 1);
-        assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
-    }
-
-    #[test]
-    fn fusion_skipped_when_producer_has_other_consumers() {
+    fn shared_operand_survives_in_place_steps() {
         let x = seeded(&[3, 4], 9);
         let g = Graph::new();
         let xin = g.constant(x.clone());
         let a = g.constant(seeded(&[3, 4], 10));
         let summed = xin.add(&a);
-        // `summed` feeds both the activation and the final add: not fusable.
+        // `summed` feeds both the in-place activation and the final add, so
+        // the activation must not take its slot.
         let y = summed.relu().add(&summed).sum_all();
-        let frozen = g.freeze(&xin, &y, Precision::Fused);
-        assert_eq!(frozen.fused_ops(), 0);
-        assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
-    }
-
-    #[test]
-    fn int8_quantizes_large_matmuls_within_tolerance() {
-        let x = seeded(&[4, 32], 11);
-        let g = Graph::new();
-        let xin = g.constant(x.clone());
-        let w = g.constant(seeded(&[32, 16], 12));
-        let y = xin.matmul(&w).relu();
-        let frozen = g.freeze(&xin, &y, Precision::Int8);
-        assert_eq!(frozen.quantized_matmuls(), 1);
-        let reference = y.value();
-        let got = frozen.run(&x);
-        let ref_max = reference.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (a, b) in got.data().iter().zip(reference.data()) {
-            assert!((a - b).abs() / ref_max.max(1.0) < 2e-2, "int8 {a} vs f32 {b}");
-        }
-    }
-
-    #[test]
-    fn int8_skips_small_weights() {
-        let x = seeded(&[2, 4], 13);
-        let g = Graph::new();
-        let xin = g.constant(x.clone());
-        let w = g.constant(seeded(&[4, 3], 14));
-        let y = xin.matmul(&w);
-        let frozen = g.freeze(&xin, &y, Precision::Int8);
-        assert_eq!(frozen.quantized_matmuls(), 0, "below QUANT_MIN_ELEMS must stay f32");
+        let frozen = g.freeze(&xin, &y);
         assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
     }
 
@@ -855,7 +611,7 @@ mod tests {
         let xin = g.constant(x.clone());
         let _unused = xin.relu().sum_all();
         let y = xin.mul_scalar(2.0);
-        let frozen = g.freeze(&xin, &y, Precision::Full);
+        let frozen = g.freeze(&xin, &y);
         assert_eq!(frozen.live_ops(), 1, "dead relu/sum must be DCE'd");
         assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
     }
@@ -866,7 +622,7 @@ mod tests {
         let g = Graph::new();
         let xin = g.constant(x.clone());
         let y = build(&g, &xin);
-        let frozen = g.freeze(&xin, &y, Precision::Fused);
+        let frozen = g.freeze(&xin, &y);
         let out = frozen.run(&x);
         assert_eq!(out.shape(), y.value().shape());
         assert!(out.is_empty());
@@ -878,7 +634,7 @@ mod tests {
         let g = Graph::new();
         let xin = g.constant(x.clone());
         let y = xin.relu();
-        let frozen = g.freeze(&xin, &y, Precision::Full);
+        let frozen = g.freeze(&xin, &y);
         let r = std::panic::catch_unwind(|| frozen.run(&seeded(&[3, 6], 17)));
         assert!(r.is_err(), "shape mismatch must panic");
     }
@@ -889,7 +645,7 @@ mod tests {
         let g = Graph::new();
         let xin = g.constant(x.clone());
         let y = build(&g, &xin);
-        let frozen = g.freeze(&xin, &y, Precision::Fused);
+        let frozen = g.freeze(&xin, &y);
         let first = frozen.run(&x);
         crate::pool::reset_stats();
         let again = frozen.run(&x);
@@ -900,5 +656,115 @@ mod tests {
             "warm frozen runs must serve from the pool (hit rate {})",
             stats.hit_rate()
         );
+    }
+
+    /// Freezes `build` traced on one input, then runs the plan on a second
+    /// input of the same shape and checks it against a fresh tape trace of
+    /// that input. A lowering that baked an input-dependent value into the
+    /// plan, or replayed a step differently from its tape kernel, fails.
+    fn assert_replays(shape: &[usize], build: impl Fn(&Graph, &Var) -> Var) {
+        let (traced, fresh) = (seeded(shape, 100), seeded(shape, 101));
+        let g = Graph::new();
+        let xin = g.constant(traced);
+        let frozen = g.freeze(&xin, &build(&g, &xin));
+
+        let g2 = Graph::new();
+        let x2 = g2.constant(fresh.clone());
+        let want = build(&g2, &x2).value();
+        let got = frozen.run(&fresh);
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn conv1d_chain_replays_identically() {
+        assert_replays(&[2, 3, 7], |g, x| {
+            let w = g.constant(seeded(&[4, 3, 2], 7));
+            let b = g.constant(seeded(&[4], 8));
+            let biased = x.conv1d(&w, Some(&b), 2).tanh();
+            let w2 = g.constant(seeded(&[4, 4, 3], 9));
+            biased.conv1d(&w2, None, 1).add(&biased).mean_axis(2)
+        });
+    }
+
+    #[test]
+    fn elementwise_arithmetic_replays_identically() {
+        assert_replays(&[4, 5], |g, x| {
+            let c = g.constant(seeded(&[4, 5], 20));
+            let divisor = x.abs().add_scalar(0.5);
+            x.sub(&c).mul(x).div(&divisor).neg().mul_scalar(0.75)
+        });
+    }
+
+    #[test]
+    fn every_activation_replays_identically() {
+        assert_replays(&[3, 6], |_, x| {
+            let acts = [
+                x.relu(),
+                x.leaky_relu(0.1),
+                x.sigmoid(),
+                x.tanh(),
+                x.gelu(),
+                x.abs(),
+                x.abs().sqrt(),
+                x.abs().ln(),
+            ];
+            let refs: Vec<&Var> = acts.iter().collect();
+            Var::concat(&refs, 1)
+        });
+    }
+
+    #[test]
+    fn batched_matmul_kinds_replay_identically() {
+        assert_replays(&[2, 3, 4], |g, x| {
+            let matched = x.matmul(&g.constant(seeded(&[2, 4, 5], 30)));
+            let shared_lhs = g.constant(seeded(&[5, 3], 31)).matmul(x);
+            let shared_rhs = x.matmul(&g.constant(seeded(&[4, 5], 32)));
+            let lhs = shared_lhs.transpose().matmul(&matched.transpose());
+            Var::concat(&[&lhs, &shared_rhs.matmul(&matched.transpose())], 1)
+        });
+    }
+
+    #[test]
+    fn attention_softmax_and_layer_norm_replay_identically() {
+        assert_replays(&[2, 4, 6], |g, x| {
+            let scores = x.matmul(&x.transpose()).mul_scalar(0.5).softmax();
+            let gamma = g.constant(seeded(&[6], 40).map(|v| 1.0 + 0.1 * v));
+            let beta = g.constant(seeded(&[6], 41));
+            scores.matmul(x).layer_norm(&gamma, &beta, 1e-5)
+        });
+    }
+
+    #[test]
+    fn shape_ops_replay_identically() {
+        assert_replays(&[2, 3, 4], |_, x| {
+            let permuted = x.permute(&[2, 0, 1]).reshape([4, 6]);
+            let head = permuted.slice_axis(0, 1, 2);
+            let tail = permuted.slice_axis(1, 2, 3).reshape([6, 2]).transpose();
+            Var::concat(&[&head, &tail, &permuted], 0)
+        });
+    }
+
+    #[test]
+    fn reductions_replay_identically() {
+        assert_replays(&[4, 5], |_, x| {
+            let parts = [x.sum_axis(0), x.mean_axis(1), x.sum_all(), x.mean_all()];
+            let refs: Vec<&Var> = parts.iter().collect();
+            Var::concat(&refs, 0)
+        });
+    }
+
+    #[test]
+    fn dropout_mask_is_baked_into_the_plan() {
+        use rand::SeedableRng;
+        assert_replays(&[6, 8], |_, x| {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(50);
+            x.dropout(0.5, &mut rng).relu()
+        });
+    }
+
+    #[test]
+    fn gather_rows_replays_identically() {
+        assert_replays(&[5, 3], |_, x| x.gather_rows(&[4, 0, 0, 2]).tanh());
     }
 }

@@ -44,7 +44,6 @@ pub mod ops {
     pub mod elementwise;
     pub mod matmul;
     pub mod norm;
-    pub mod qgemm;
     pub mod reduce;
     pub mod shapeops;
     pub mod softmax;
@@ -52,7 +51,7 @@ pub mod ops {
 
 pub use gradcheck::{check_gradient, check_gradient_report, normalized_deviation, GradReport};
 pub use graph::{Graph, Var};
-pub use infer::{Act, FrozenGraph, FrozenOp, Precision};
+pub use infer::{Act, FrozenGraph, FrozenOp};
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use param::{Init, ParamStore};
 pub use pool::PoolStats;

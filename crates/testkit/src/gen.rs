@@ -289,11 +289,6 @@ pub fn smaller_fault_plans(plan: &FaultPlan) -> Vec<FaultPlan> {
         p.site_nans.remove(fault);
         out.push(p);
     }
-    for fault in plan.quant_overflows.iter() {
-        let mut p = plan.clone();
-        p.quant_overflows.remove(fault);
-        out.push(p);
-    }
     out
 }
 

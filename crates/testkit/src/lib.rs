@@ -18,12 +18,11 @@
 //!   across generated shapes, and shrinks any failing input to a minimal,
 //!   seed-replayable reproducer. A coverage test pins the enumerated op
 //!   list, so new ops cannot dodge the sweep.
-//! - [`qconform`] — the serving-side twin of [`conformance`]: every model
-//!   operator and the full forecaster stack frozen through the compiled
-//!   inference backend, checking that `Fused` plans are bit-identical to the
-//!   tape and `Int8` plans stay within per-op quantization error budgets
-//!   while actually engaging the quantized GEMM. The same coverage-contract
-//!   test pins its op list.
+//! - [`frozen_conform`] — the serving-side twin of [`conformance`]: every
+//!   model operator and the full forecaster stack frozen through the
+//!   compiled inference backend, checking that the frozen plans are
+//!   bit-identical to the tape. The same coverage-contract test pins its op
+//!   list.
 //! - [`golden`] — golden-run regression fixtures: the winner genotype,
 //!   proxy-label vector, and deterministic observability summary of small
 //!   fixed-seed `autocts_plus` and zero-shot searches, snapshotted to
@@ -36,14 +35,14 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
+pub mod frozen_conform;
 pub mod gen;
 pub mod golden;
-pub mod qconform;
 
 pub use conformance::{run_sweep, ConformanceReport, OpFamily, OpReport, OpSpec, Reproducer};
+pub use frozen_conform::{run_frozen_spec, FrozenOpReport, FrozenOpSpec};
 pub use gen::{shrink, Gen};
 pub use golden::{
     capture_autocts_plus, capture_autocts_plus_with, capture_fidelity_ladder, capture_zero_shot,
     check_against_fixture, diff_json, GoldenLadderRun, GoldenRun, UPDATE_GOLDEN_ENV,
 };
-pub use qconform::{run_quant_sweep, QuantConformanceReport, QuantOpReport, QuantOpSpec};

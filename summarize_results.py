@@ -34,14 +34,29 @@ for path in sorted(glob.glob("results/table[5-9]_*.csv")) + sorted(glob.glob("re
     except Exception as e:
         print(f"{path}: skipped ({e})")
 
+def host_digest(r):
+    h = r.get("host")
+    if not h:
+        return "host not recorded"
+    return (f"{h['cores']}-core {h['isa_tier']} host, {h['rayon_threads']} rayon threads, "
+            f"{h['rustc']}")
+
 def bench_digest(name, r):
+    if name == "BENCH_kernels.json":
+        infer = ", ".join(f"B={row['batch']}: {row['frozen_speedup']:.2f}x"
+                          for row in r.get("infer", []))
+        return (f"min matmul speedup {r.get('min_matmul_speedup', 0):.2f}x; "
+                f"frozen/tape {infer}; {host_digest(r)}")
     if name == "BENCH_serving.json":
         levels = ", ".join(
             f"c={row['concurrency']}: {row['throughput_ratio']:.2f}x "
             f"(batched p99 {row['batched']['p99_us']:.0f}us)"
             for row in r.get("levels", [])
         )
-        return f"batched/unbatched throughput {levels}; best {r.get('best_ratio', 0):.2f}x"
+        frozen = ", ".join(f"c={row['concurrency']}: {row['frozen_ratio']:.2f}x"
+                           for row in r.get("levels", []))
+        return (f"batched/unbatched throughput {levels}; best {r.get('best_ratio', 0):.2f}x; "
+                f"frozen/tape {frozen}; {host_digest(r)}")
     if name == "BENCH_serving_overload.json":
         by = {(row["multiplier"], row["mode"]): row for row in r.get("rows", [])}
         parts = []

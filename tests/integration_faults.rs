@@ -29,7 +29,7 @@ fn seeded_faults_quarantine_without_changing_the_winner() {
     let task = target_task();
     let space = JointSpace::tiny();
     let cfg = AutoCtsPlusConfig::test();
-    let plan = FaultPlan::seeded(0xFA17, 8, 1, 1, &[], &[]);
+    let plan = FaultPlan::seeded(0xFA17, 8, 1, 1, &[]);
     assert_eq!(plan.nan_loss_units.len(), 1);
     assert_eq!(plan.panic_units.len(), 1);
     let faulty_units: Vec<u64> =
